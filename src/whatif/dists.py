@@ -1,11 +1,20 @@
 """Distribution families for program random choices.
 
-Two kinds of family live here.  Plain families (Normal, Bernoulli,
-Uniform, Beta, Delta) score and sample scalar values.  Observable
-families model an endogenous quantity as a deterministic function of its
-parents composed with an explicit noise variable; because the noise is
-explicit, observing the output pins the noise exactly (no rejection) and
-counterfactual replay can rerun the function under new parent values
+Two kinds of family live here, next to the point mass Delta.  Plain
+families (Normal, Bernoulli, Uniform, Beta) sample and score scalar
+values; their randomness is implicit.  Observable families model an
+endogenous quantity as a deterministic function of its parents composed
+with an explicit noise variable, and share one protocol:
+
+    sample_noise(stream)        draw the noise from its prior
+    output(noise)               the value that noise produces
+    noise_log_prior(noise)      log prior mass or density of the noise
+    absorb(observed, stream)    (value, noise, log_q): a noise that
+                                produces the observation, and the log
+                                density of having proposed it
+
+Because the noise is explicit, evidence is absorbed without rejection,
+and counterfactual replay can rerun output() under new parent values
 while holding the abducted noise fixed.
 
 Densities are returned in nats.  Zero-probability outcomes score -inf.
@@ -145,9 +154,6 @@ class ObservableNormal:
                 f"ObservableNormal noise_std must be positive, got {self.noise_std}"
             )
 
-    def noise_prior(self) -> Normal:
-        return Normal(0.0, self.noise_std)
-
     def noise_log_prior(self, noise: float) -> float:
         z = noise / self.noise_std
         return -0.5 * z * z - math.log(self.noise_std) - _HALF_LOG_2PI
@@ -157,6 +163,10 @@ class ObservableNormal:
 
     def output(self, noise: float) -> float:
         return self.mean + noise
+
+    def absorb(self, observed: float, stream: RandomStream):
+        """The unique noise with mean + noise == observed."""
+        return float(observed), observed - self.mean, 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,6 +194,10 @@ class ObservableBernoulli:
 
     def output(self, noise: bool) -> bool:
         return bool(self.f_value) != bool(noise)
+
+    def absorb(self, observed: bool, stream: RandomStream):
+        """The unique flip with f_value xor flip == observed."""
+        return bool(observed), bool(self.f_value) != bool(observed), 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,8 +249,42 @@ class ObservableNoisyOr:
             total += _bernoulli_log_mass(1.0 - lam, noise[j + 1])
         return total
 
+    def absorb(self, observed: bool, stream: RandomStream):
+        """Constructive noise proposal consistent with the observed output.
 
-PLAIN_FAMILIES = (Normal, Bernoulli, Uniform, Beta, Delta)
+        observed False: the leak and every active parent's noise are forced
+        off; inactive parents' noises are free and drawn from their priors.
+        observed True: parent noises are drawn from their priors first (in
+        index order), then the leak is forced on only if no active parent
+        noise already produced a True output.  An impossible observation
+        surfaces as a -inf prior mass on a forced noise, never as a
+        rejection here.
+        """
+        observed = bool(observed)
+        lambdas, parent_states = self.lambdas, self.parent_states
+        parts = [False] * (len(lambdas) + 1)
+        log_q = 0.0
+        hot = False
+        for j, lam in enumerate(lambdas):
+            if parent_states[j] and not observed:
+                continue
+            eps = stream.bernoulli(1.0 - lam)
+            parts[j + 1] = eps
+            log_q += _bernoulli_log_mass(1.0 - lam, eps)
+            if eps and parent_states[j]:
+                hot = True
+        if observed:
+            if hot:
+                parts[0] = eps0 = stream.bernoulli(1.0 - self.lambda0)
+                log_q += _bernoulli_log_mass(1.0 - self.lambda0, eps0)
+            else:
+                parts[0] = True
+        return observed, tuple(parts), log_q
+
+
+# Families with implicit randomness, and families with explicit noise.
+# Delta, a point mass, is neither.
+PLAIN_FAMILIES = (Normal, Bernoulli, Uniform, Beta)
 OBSERVABLE_FAMILIES = (ObservableNormal, ObservableBernoulli, ObservableNoisyOr)
 
 
@@ -260,25 +308,6 @@ def sample_and_score(spec, stream: RandomStream, proposal=None):
     return value, spec.log_density(value), proposal.log_density(value)
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseInversion:
-    """Result of forcing an observable's noise to match an observation."""
-
-    noise_value: object
-    log_proposal: float
-    feasible: bool
-
-
-def invert_observable_normal(mean: float, observed: float) -> NoiseInversion:
-    """The unique noise with mean + noise == observed."""
-    return NoiseInversion(observed - mean, 0.0, True)
-
-
-def invert_observable_bernoulli(f_value: bool, observed: bool) -> NoiseInversion:
-    """The unique flip with f_value xor flip == observed."""
-    return NoiseInversion(bool(f_value) != bool(observed), 0.0, True)
-
-
 def noisy_or_false_prob(
     lambda0: float, lambdas: tuple[float, ...], parent_states: tuple[bool, ...]
 ) -> float:
@@ -288,64 +317,3 @@ def noisy_or_false_prob(
         if state:
             prob *= lam
     return prob
-
-
-def noisy_or_propose_noise(
-    observed: bool,
-    lambda0: float,
-    lambdas: tuple[float, ...],
-    parent_states: tuple[bool, ...],
-    stream: RandomStream,
-):
-    """Constructive noise proposal consistent with the observed output.
-
-    observed False: the leak and every active parent's noise are forced
-    off; inactive parents' noises are free and drawn from their priors.
-    observed True: parent noises are drawn from their priors first (in
-    index order), then the leak is forced on only if no active parent
-    noise already produced a True output.
-
-    Returns (noise, log_proposal, feasible) with noise[0] the leak.
-    Feasibility is always true; an impossible observation surfaces as a
-    -inf prior mass on a forced noise, not as a rejection here.
-    """
-    n = len(lambdas)
-    if observed:
-        parts = [False] * (n + 1)
-        log_q = 0.0
-        hot = False
-        for j in range(n):
-            eps = stream.bernoulli(1.0 - lambdas[j])
-            parts[j + 1] = eps
-            log_q += _bernoulli_log_mass(1.0 - lambdas[j], eps)
-            if eps and parent_states[j]:
-                hot = True
-        if hot:
-            eps0 = stream.bernoulli(1.0 - lambda0)
-            parts[0] = eps0
-            log_q += _bernoulli_log_mass(1.0 - lambda0, eps0)
-        else:
-            parts[0] = True
-        return tuple(parts), log_q, True
-    parts = [False] * (n + 1)
-    log_q = 0.0
-    for j in range(n):
-        if parent_states[j]:
-            continue
-        eps = stream.bernoulli(1.0 - lambdas[j])
-        parts[j + 1] = eps
-        log_q += _bernoulli_log_mass(1.0 - lambdas[j], eps)
-    return tuple(parts), log_q, True
-
-
-def noisy_or_pack(noise: tuple[bool, ...]) -> int:
-    """Pack a noise vector into one integer so it fits one trace slot."""
-    bits = 0
-    for j, eps in enumerate(noise):
-        if eps:
-            bits |= 1 << j
-    return bits
-
-
-def noisy_or_unpack(bits: int, n_parents: int) -> tuple[bool, ...]:
-    return tuple(bool(bits >> j & 1) for j in range(n_parents + 1))

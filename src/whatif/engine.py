@@ -3,26 +3,35 @@
 A program is a callable taking an execution context.  It instantiates
 random procedures (each yielding a realized value), declares parents via
 explicit depends_on lists, and issues observe / do / predict statements.
-One inference call executes the program in three phases:
+Every procedure goes through one entry point, ExecutionContext.sample,
+which hands it to the handler of the current phase:
 
   discovery   one execution that records the query structure: which
               addresses are observed or intervened, the predict labels,
               and the declared dependency edges.
   abduction   N importance-sampling executions of the posterior given
               the evidence.  Observable procedures absorb their
-              observation by inverting the noise; do(..., "cf")
+              observation through their family's absorb(); do(..., "cf")
               interventions are ignored here, do(..., "iv") are forced.
   replay      for counterfactual queries, each abducted trace is run
-              once more with interventions forced: non-descendants keep
-              their abducted values bitwise, deterministic descendants
-              are recomputed, observable descendants rerun their
-              function under the abducted noise, and log-weights carry
+              once more with interventions forced.  Replay decides which
+              choices are downstream of a cf intervention per execution,
+              from the depends_on parents each choice declares, not from
+              the discovery execution.  Choices that are not downstream
+              keep their abducted values bitwise, deterministic ones
+              downstream are recomputed, observable ones downstream rerun
+              output() under the abducted noise, and log-weights carry
               over unchanged.
+
+The engine tells families apart only as Delta, dists.PLAIN_FAMILIES
+(implicit randomness) and dists.OBSERVABLE_FAMILIES (explicit noise,
+with sample_noise / output / noise_log_prior / absorb).
 
 So a counterfactual query costs 2N + 1 program executions, anything
 else N + 1.  Every random draw comes from a stream keyed by (seed,
 sample_index, address), which makes results independent of evaluation
-order and of how samples are split across workers.
+order and of how samples are split across workers.  Worker processes
+are forked where the platform allows, so a closure works as a program.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dists import (
+    OBSERVABLE_FAMILIES,
+    PLAIN_FAMILIES,
     Beta,
     Bernoulli,
     Delta,
@@ -44,11 +55,6 @@ from .dists import (
     ObservableNormal,
     ObservableNoisyOr,
     Uniform,
-    invert_observable_bernoulli,
-    invert_observable_normal,
-    noisy_or_pack,
-    noisy_or_propose_noise,
-    noisy_or_unpack,
     sample_and_score,
 )
 from .errors import (
@@ -79,12 +85,6 @@ IV = "iv"
 NOISE_SUFFIX = "::noise"
 REPLAY_STREAM_SUFFIX = "@cf"
 
-_PLAIN = (Normal, Bernoulli, Uniform, Beta)
-_PLAIN_NAMES = frozenset(t.__name__ for t in _PLAIN)
-_OBSERVABLE_NAMES = frozenset(
-    t.__name__ for t in (ObservableNormal, ObservableBernoulli, ObservableNoisyOr)
-)
-
 
 @dataclass(slots=True)
 class Intervention:
@@ -100,9 +100,9 @@ class QueryPlan:
     interventions: dict[Address, Intervention] = field(default_factory=dict)
     predicts: list[tuple[str, bool]] = field(default_factory=list)
     parents: dict[Address, tuple[Address, ...]] = field(default_factory=dict)
-    families: dict[Address, str] = field(default_factory=dict)
-    cf_descendants: frozenset[Address] = frozenset()
+    families: dict[Address, type] = field(default_factory=dict)
     needs_replay: bool = False
+    delta_tolerance: float = 0.0
 
 
 class Choice:
@@ -165,7 +165,7 @@ class ExecutionContext:
         "sample_index",
         "counter",
         "abducted",
-        "delta_tolerance",
+        "_tainted",
         "_memo",
         "_pred_i",
     )
@@ -178,7 +178,6 @@ class ExecutionContext:
         sample_index: int,
         *,
         abducted: Trace | None = None,
-        delta_tolerance: float = 0.0,
     ):
         self.phase = phase
         self.plan = plan
@@ -187,7 +186,7 @@ class ExecutionContext:
         self.sample_index = sample_index
         self.counter = AddressCounter()
         self.abducted = abducted
-        self.delta_tolerance = delta_tolerance
+        self._tainted: set[Address] = set()
         self._memo: dict[Address, Choice] = {}
         self._pred_i = 0
 
@@ -200,7 +199,7 @@ class ExecutionContext:
         phase = self.phase
         if phase == DISCOVERY:
             self.plan.parents[addr] = parents
-            self.plan.families[addr] = type(spec).__name__
+            self.plan.families[addr] = type(spec)
             return self._forward(addr, spec, parents, proposal)
         if phase == ABDUCTION:
             return self._abduct(addr, spec, parents, proposal)
@@ -273,18 +272,21 @@ class ExecutionContext:
         self.trace.record(TraceEntry(addr, value, lp, lq, role, parents))
         return Choice(addr, value)
 
-    def _forward(self, addr, spec, parents, proposal) -> Choice:
-        """Sample with no evidence or interventions applied (discovery)."""
+    def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
+        """Sample from the prior or proposal with no evidence applied.
+
+        Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream of its
+        own, independent of the abducted draws at the same address.
+        """
         fam = type(spec)
         if fam is Delta:
             return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
-        if fam in _PLAIN:
-            value, lp, lq = sample_and_score(spec, self._stream(addr), proposal)
+        if fam in PLAIN_FAMILIES:
+            value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
             return self._record(addr, value, lp, lq, LATENT, parents)
         noise_addr = addr + NOISE_SUFFIX
-        noise = spec.sample_noise(self._stream(noise_addr))
-        stored = noisy_or_pack(noise) if fam is ObservableNoisyOr else noise
-        self.trace.record(TraceEntry(noise_addr, stored, 0.0, 0.0, LATENT, ()))
+        noise = spec.sample_noise(self._stream(noise_addr + suffix))
+        self.trace.record(TraceEntry(noise_addr, noise, 0.0, 0.0, LATENT, ()))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents)
 
     def _abduct(self, addr, spec, parents, proposal) -> Choice:
@@ -299,56 +301,44 @@ class ExecutionContext:
     def _absorb(self, addr, spec, parents, observed) -> Choice:
         """Condition the procedure at addr on its observed value.
 
-        Observable families invert their noise and score the observation
-        by the prior-to-proposal ratio of the forced noise assignment.
+        Observable families pin their noise to the observation and score
+        it by the prior-to-proposal ratio of the forced noise assignment.
         The ratio goes on the observed output entry; the pinned noise
         entry scores zero so the weight is not double counted.
         """
         fam = type(spec)
         if fam is Delta:
-            loglik = 0.0 if _delta_match(spec.value, observed, self.delta_tolerance) else _NEG_INF
+            matched = _delta_match(spec.value, observed, self.plan.delta_tolerance)
+            loglik = 0.0 if matched else _NEG_INF
             return self._record(addr, spec.value, loglik, 0.0, OBSERVED, parents)
+        if fam not in OBSERVABLE_FAMILIES:
+            raise UnobservableProcedureError(
+                f"unobservable procedure: cannot absorb evidence at {addr!r} "
+                f"({fam.__name__} has implicit randomness)"
+            )
         noise_addr = addr + NOISE_SUFFIX
-        if fam is ObservableNormal:
-            inv = invert_observable_normal(spec.mean, observed)
-            loglik = spec.noise_log_prior(inv.noise_value) - inv.log_proposal
-            self.trace.record(
-                TraceEntry(noise_addr, inv.noise_value, 0.0, 0.0, LATENT, ())
-            )
-            return self._record(addr, float(observed), loglik, inv.log_proposal, OBSERVED, parents)
-        if fam is ObservableBernoulli:
-            inv = invert_observable_bernoulli(spec.f_value, observed)
-            loglik = spec.noise_log_prior(inv.noise_value) - inv.log_proposal
-            self.trace.record(
-                TraceEntry(noise_addr, inv.noise_value, 0.0, 0.0, LATENT, ())
-            )
-            return self._record(addr, bool(observed), loglik, inv.log_proposal, OBSERVED, parents)
-        if fam is ObservableNoisyOr:
-            noise, log_q, _ = noisy_or_propose_noise(
-                bool(observed),
-                spec.lambda0,
-                spec.lambdas,
-                spec.parent_states,
-                self._stream(noise_addr),
-            )
-            loglik = spec.noise_log_prior(noise) - log_q
-            self.trace.record(
-                TraceEntry(noise_addr, noisy_or_pack(noise), 0.0, 0.0, LATENT, ())
-            )
-            return self._record(addr, bool(observed), loglik, log_q, OBSERVED, parents)
-        raise UnobservableProcedureError(
-            f"unobservable procedure: cannot absorb evidence at {addr!r} "
-            f"({fam.__name__} has implicit randomness)"
-        )
+        value, noise, log_q = spec.absorb(observed, self._stream(noise_addr))
+        self.trace.record(TraceEntry(noise_addr, noise, 0.0, 0.0, LATENT, ()))
+        loglik = spec.noise_log_prior(noise) - log_q
+        return self._record(addr, value, loglik, log_q, OBSERVED, parents)
 
     def _replay(self, addr, spec, parents) -> Choice:
+        """Rerun one choice in the counterfactual world.
+
+        A choice is downstream of a cf intervention, "tainted", when it
+        is cf-forced, falls back to its prior, or declares a tainted
+        parent.  Programs create parents before children, so this
+        per-execution taint is exact even where control flow differs
+        from the discovery execution.
+        """
         plan = self.plan
+        tainted = self._tainted
         iv = plan.interventions.get(addr)
         if iv is not None:
+            if iv.kind == CF:
+                tainted.add(addr)
             return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
-        abducted = self.abducted
-        prev = abducted.entries.get(addr)
-        fam = type(spec)
+        prev = self.abducted.entries.get(addr)
         if prev is None:
             # Control flow opened by an intervention: no abducted value
             # exists, so the choice falls back to its prior.
@@ -357,48 +347,23 @@ class ExecutionContext:
                     f"stale trace: address {addr!r} missing from the abducted "
                     "trace with no intervention to explain it"
                 )
-            if fam is Delta:
-                return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
-            if fam in _PLAIN:
-                stream = rng_for_address(
-                    self.seed, self.sample_index, addr + REPLAY_STREAM_SUFFIX
-                )
-                value, lp, lq = sample_and_score(spec, stream)
-                return self._record(addr, value, lp, lq, LATENT, parents)
+            tainted.add(addr)
+            return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
+        downstream = tainted and not tainted.isdisjoint(parents)
+        if downstream:
+            tainted.add(addr)
+        if type(spec) in OBSERVABLE_FAMILIES:
             noise_addr = addr + NOISE_SUFFIX
-            stream = rng_for_address(
-                self.seed, self.sample_index, noise_addr + REPLAY_STREAM_SUFFIX
-            )
-            noise = spec.sample_noise(stream)
-            stored = noisy_or_pack(noise) if fam is ObservableNoisyOr else noise
-            self.trace.record(TraceEntry(noise_addr, stored, 0.0, 0.0, LATENT, ()))
-            return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents)
-        if addr in plan.cf_descendants:
-            if fam is Delta:
-                return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
-            if fam in _PLAIN:
-                # An implicit-noise procedure downstream of an intervention
-                # has no shared noise to carry into the new world; it is
-                # redrawn from its prior on a replay-specific stream.
-                stream = rng_for_address(
-                    self.seed, self.sample_index, addr + REPLAY_STREAM_SUFFIX
-                )
-                value, lp, lq = sample_and_score(spec, stream)
-                return self._record(addr, value, lp, lq, LATENT, parents)
-            noise_addr = addr + NOISE_SUFFIX
-            noise_prev = abducted.entries[noise_addr].value
-            if fam is ObservableNoisyOr:
-                noise = noisy_or_unpack(noise_prev, len(spec.parent_states))
-                self.trace.record(TraceEntry(noise_addr, noise_prev, 0.0, 0.0, LATENT, ()))
+            noise = self.abducted.entries[noise_addr].value
+            self.trace.record(TraceEntry(noise_addr, noise, 0.0, 0.0, LATENT, ()))
+            if downstream:
                 return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents)
-            self.trace.record(TraceEntry(noise_addr, noise_prev, 0.0, 0.0, LATENT, ()))
-            return self._record(addr, spec.output(noise_prev), 0.0, 0.0, LATENT, parents)
-        # Outside the intervened closure: the abducted world carries over.
-        if fam in (ObservableNormal, ObservableBernoulli, ObservableNoisyOr):
-            noise_addr = addr + NOISE_SUFFIX
-            self.trace.record(
-                TraceEntry(noise_addr, abducted.entries[noise_addr].value, 0.0, 0.0, LATENT, ())
-            )
+        elif downstream:
+            # A Delta is recomputed.  An implicit-noise procedure has no
+            # shared noise to carry into the new world; it is redrawn
+            # from its prior.
+            return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
+        # Not downstream of a cf intervention: the abducted world carries over.
         return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents)
 
     # -- statements --------------------------------------------------------
@@ -409,9 +374,10 @@ class ExecutionContext:
         plan = self.plan
         if self.phase == DISCOVERY:
             fam = plan.families.get(addr)
-            if fam not in _OBSERVABLE_NAMES and fam != "Delta":
+            if fam is not Delta and fam not in OBSERVABLE_FAMILIES:
                 raise UnobservableProcedureError(
-                    f"unobservable procedure: cannot observe {fam} at {addr!r}; "
+                    f"unobservable procedure: cannot observe "
+                    f"{getattr(fam, '__name__', fam)} at {addr!r}; "
                     "only observable and Delta procedures absorb evidence"
                 )
             if addr in plan.interventions:
@@ -498,6 +464,8 @@ class ExecutionContext:
             iv = self.plan.interventions.get(name)
             if iv is not None and (self.phase == REPLAY or iv.kind == IV):
                 self.counter.fresh(name)
+                if iv.kind == CF:
+                    self._tainted.add(name)
                 choice = self._record(name, iv.value, 0.0, 0.0, INTERVENED, ())
                 memo[name] = choice
                 return choice
@@ -525,12 +493,9 @@ class ExecutionContext:
 def discover(program, *, seed: int = 0, delta_tolerance: float = 0.0,
              strict_endogeneity: bool = False) -> QueryPlan:
     """Run the discovery pass and return the finalized query plan."""
-    plan = QueryPlan()
-    ctx = ExecutionContext(DISCOVERY, plan, seed, -1, delta_tolerance=delta_tolerance)
-    program(ctx)
-    cf_roots = [a for a, iv in plan.interventions.items() if iv.kind == CF]
-    plan.cf_descendants = descendant_closure(plan.parents, cf_roots)
-    plan.needs_replay = bool(cf_roots)
+    plan = QueryPlan(delta_tolerance=delta_tolerance)
+    program(ExecutionContext(DISCOVERY, plan, seed, -1))
+    plan.needs_replay = any(iv.kind == CF for iv in plan.interventions.values())
     if strict_endogeneity:
         _check_endogeneity(plan)
     return plan
@@ -547,29 +512,28 @@ def _check_endogeneity(plan: QueryPlan) -> None:
     """
     for addr in plan.interventions:
         fam = plan.families.get(addr)
-        if fam in _PLAIN_NAMES and plan.parents.get(addr):
+        if fam in PLAIN_FAMILIES and plan.parents.get(addr):
             raise EngineError(
-                f"cannot intervene on {addr!r}: {fam} with parents has "
+                f"cannot intervene on {addr!r}: {fam.__name__} with parents has "
                 "implicit randomness; give it an explicit noise split"
             )
-    for addr in sorted(plan.cf_descendants):
+    cf_roots = [a for a, iv in plan.interventions.items() if iv.kind == CF]
+    for addr in sorted(descendant_closure(plan.parents, cf_roots)):
         fam = plan.families.get(addr)
-        if fam in _PLAIN_NAMES:
+        if fam in PLAIN_FAMILIES:
             raise EngineError(
-                f"descendant {addr!r} of an intervened address is a {fam} "
-                "with implicit randomness; give it an explicit noise split"
+                f"descendant {addr!r} of an intervened address is a "
+                f"{fam.__name__} with implicit randomness; give it an explicit "
+                "noise split"
             )
 
 
 # -- sampling --------------------------------------------------------------
 
 
-def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int,
-                     *, delta_tolerance: float = 0.0) -> Trace:
+def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int) -> Trace:
     """One importance sample of the posterior described by the plan."""
-    ctx = ExecutionContext(
-        ABDUCTION, plan, seed, sample_index, delta_tolerance=delta_tolerance
-    )
+    ctx = ExecutionContext(ABDUCTION, plan, seed, sample_index)
     program(ctx)
     return ctx.trace
 
@@ -601,15 +565,13 @@ class InferenceResult:
     traces: list | None = None
 
 
-def _run_chunk(program, plan, seed, lo, hi, delta_tolerance, keep_traces):
+def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     preds: list[dict[str, Value]] = []
     lws: list[float] = []
     traces = [] if keep_traces else None
     n_rejected = 0
     for i in range(lo, hi):
-        abd = abduction_sample(
-            program, plan, seed, i, delta_tolerance=delta_tolerance
-        )
+        abd = abduction_sample(program, plan, seed, i)
         rejected = abd.rejected
         if rejected:
             n_rejected += 1
@@ -649,23 +611,22 @@ def run_inference(
         delta_tolerance=delta_tolerance,
         strict_endogeneity=strict_endogeneity,
     )
+    job = (program, plan, seed, keep_traces)
     t0 = time.perf_counter()
     if workers <= 1 or n_samples < 2:
-        parts = [
-            _run_chunk(program, plan, seed, 0, n_samples, delta_tolerance, keep_traces)
-        ]
+        parts = [_run_chunk(*job, 0, n_samples)]
     else:
         bounds = np.linspace(0, n_samples, min(workers, n_samples) + 1).astype(int)
-        jobs = [
-            (program, plan, seed, int(lo), int(hi), delta_tolerance, keep_traces)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_run_chunk_star, jobs))
+        # A forked worker inherits the job through initargs without
+        # pickling it, so closures and lambdas work as programs.
+        with ProcessPoolExecutor(
+            max_workers=len(spans), mp_context=ctx, initializer=_init_worker, initargs=job
+        ) as pool:
+            parts = list(pool.map(_run_span, spans))
     wall = time.perf_counter() - t0
     predictions: list[dict[str, Value]] = []
     lws: list[float] = []
@@ -690,8 +651,16 @@ def run_inference(
     )
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+_worker_job = None  # (program, plan, seed, keep_traces), set once per worker
+
+
+def _init_worker(*job):
+    global _worker_job
+    _worker_job = job
+
+
+def _run_span(span):
+    return _run_chunk(*_worker_job, *span)
 
 
 # -- estimators ------------------------------------------------------------

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
+from .engine import descendant_closure
 from .errors import DegenerateGraphError
 
 PRIOR = "prior"
@@ -101,13 +102,6 @@ class ScmSpec:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._index
 
-    def children(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for node in self.nodes:
-            for par in node.parents:
-                out[par].append(node.id)
-        return out
-
 
 @dataclass
 class BenchQuery:
@@ -117,18 +111,10 @@ class BenchQuery:
     kind: str = "cf"
 
 
-def descendants(scm: ScmSpec, node_id: str) -> set[str]:
+def descendants(scm: ScmSpec, node_id: str) -> frozenset[str]:
     """Strict descendants of node_id under the model edges."""
     scm.node(node_id)
-    children = scm.children()
-    out: set[str] = set()
-    frontier = [node_id]
-    while frontier:
-        for child in children[frontier.pop()]:
-            if child not in out:
-                out.add(child)
-                frontier.append(child)
-    return out
+    return descendant_closure({n.id: n.parents for n in scm.nodes}, [node_id])
 
 
 def has_directed_path(scm: ScmSpec, src: str, dst: str) -> bool:

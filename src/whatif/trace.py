@@ -123,9 +123,6 @@ class Trace:
     def rejected(self) -> bool:
         return self._running == _NEG_INF
 
-    def weight_terms(self) -> list[float]:
-        return list(self._terms)
-
     def __contains__(self, address: Address) -> bool:
         return address in self.entries
 

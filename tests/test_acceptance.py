@@ -15,8 +15,14 @@ import pytest
 
 import whatif as wi
 from whatif.cli import _bench_model
-from whatif.dists import ObservableNoisyOr
-from whatif.engine import QueryPlan, abduction_sample, counterfactual_replay, discover
+from whatif.dists import ObservableBernoulli, ObservableNoisyOr
+from whatif.engine import (
+    QueryPlan,
+    abduction_sample,
+    counterfactual_replay,
+    descendant_closure,
+    discover,
+)
 from whatif.rng import rng_for_address
 from whatif.trace import INTERVENED
 
@@ -167,7 +173,9 @@ def test_criterion_4_replay_invariants():
         rep = counterfactual_replay(abd, plan, program, 5, 0)
         if rep.log_weight != abd.log_weight:
             violations += 1
-        protected = set(plan.cf_descendants) | set(plan.interventions)
+        recorded = {a: e.parents for a, e in rep.entries.items()}
+        cf_roots = [a for a, iv in plan.interventions.items() if iv.kind == wi.CF]
+        protected = descendant_closure(recorded, cf_roots) | set(plan.interventions)
         for addr, entry in abd.entries.items():
             base = addr[: -len("::noise")] if addr.endswith("::noise") else addr
             if base in protected:
@@ -223,8 +231,10 @@ def test_criterion_5_inverse_noise_consistency():
 
     for _ in range(INVERSION_CASES):
         f_val, obs = rng.random() < 0.5, rng.random() < 0.5
-        inv = wi.invert_observable_bernoulli(f_val, obs)
-        if (f_val ^ inv.noise_value) != obs:
+        _, noise, _ = ObservableBernoulli(f_val, 0.2).absorb(
+            obs, rng_for_address(3, 0, "acc5b")
+        )
+        if (f_val ^ noise) != obs:
             bad += 1
 
     for i in range(INVERSION_CASES):
@@ -234,10 +244,8 @@ def test_criterion_5_inverse_noise_consistency():
         states = tuple(rng.random() < 0.5 for _ in range(n_parents))
         obs = rng.random() < 0.5
         spec = ObservableNoisyOr(lam0, lams, states)
-        noise, _, feasible = wi.noisy_or_propose_noise(
-            obs, lam0, lams, states, rng_for_address(3, i, "acc5")
-        )
-        if not feasible or spec.output(noise) != obs:
+        _, noise, _ = spec.absorb(obs, rng_for_address(3, i, "acc5"))
+        if spec.output(noise) != obs:
             bad += 1
 
     ok = bad == 0

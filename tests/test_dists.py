@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -14,12 +14,7 @@ from whatif.dists import (
     ObservableNoisyOr,
     ObservableNormal,
     Uniform,
-    invert_observable_bernoulli,
-    invert_observable_normal,
     noisy_or_false_prob,
-    noisy_or_pack,
-    noisy_or_propose_noise,
-    noisy_or_unpack,
     sample_and_score,
 )
 from whatif.rng import rng_for_address
@@ -120,16 +115,16 @@ class TestSampling:
 
 class TestObservableNormal:
     def test_inversion_recovers_frozen_noise(self):
-        inv = invert_observable_normal(0.5, 1.2342)
-        assert inv.noise_value == 0.7342
-        assert inv.log_proposal == 0.0
-        assert inv.feasible
+        value, noise, log_q = ObservableNormal(0.5, 1.0).absorb(1.2342, stream("n"))
+        assert value == 1.2342
+        assert noise == 0.7342
+        assert log_q == 0.0
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_forward_of_inverted_noise_reproduces_observation(self, mean, obs):
-        inv = invert_observable_normal(mean, obs)
         spec = ObservableNormal(mean, 1.5)
-        assert spec.output(inv.noise_value) == mean + (obs - mean)
+        _, noise, _ = spec.absorb(obs, stream("n"))
+        assert spec.output(noise) == mean + (obs - mean)
 
     def test_noise_prior_matches_plain_normal(self):
         spec = ObservableNormal(3.0, 2.0)
@@ -139,14 +134,19 @@ class TestObservableNormal:
 class TestObservableBernoulli:
     @given(st.booleans(), st.booleans())
     def test_forward_of_inverted_noise_reproduces_observation(self, f_val, obs):
-        inv = invert_observable_bernoulli(f_val, obs)
         spec = ObservableBernoulli(f_val, 0.2)
-        assert spec.output(inv.noise_value) == obs
+        value, noise, log_q = spec.absorb(obs, stream("b"))
+        assert value == obs
+        assert log_q == 0.0
+        assert spec.output(noise) == obs
 
     def test_noise_is_xor_of_f_and_observation(self):
-        assert invert_observable_bernoulli(True, True).noise_value is False
-        assert invert_observable_bernoulli(True, False).noise_value is True
-        assert invert_observable_bernoulli(False, True).noise_value is True
+        def noise(f_val, obs):
+            return ObservableBernoulli(f_val, 0.2).absorb(obs, stream("b"))[1]
+
+        assert noise(True, True) is False
+        assert noise(True, False) is True
+        assert noise(False, True) is True
 
     def test_flip_rate(self):
         spec = ObservableBernoulli(False, 0.2)
@@ -166,10 +166,9 @@ class TestNoisyOr:
         assert math.isclose(p_all_off, 0.5)
 
     def test_proposal_false_forces_leak_and_active_off(self):
-        noise, log_q, feasible = noisy_or_propose_noise(
-            False, 0.9, (0.8, 0.6), (True, False), stream("no1")
-        )
-        assert feasible
+        spec = ObservableNoisyOr(0.9, (0.8, 0.6), (True, False))
+        value, noise, log_q = spec.absorb(False, stream("no1"))
+        assert value is False
         assert noise[0] is False  # leak suppressed
         assert noise[1] is False  # active parent suppressed
         # inactive parent noise is free: log_q only scores constrained bits
@@ -178,10 +177,7 @@ class TestNoisyOr:
     def test_proposal_true_leaves_output_hot(self):
         spec = ObservableNoisyOr(0.9, (0.8, 0.6), (True, True))
         for i in range(200):
-            noise, _, feasible = noisy_or_propose_noise(
-                True, 0.9, (0.8, 0.6), (True, True), stream("no2", i)
-            )
-            assert feasible
+            _, noise, _ = spec.absorb(True, stream("no2", i))
             assert spec.output(noise) is True
 
     def test_proposal_never_rejects_even_when_unlikely(self):
@@ -189,10 +185,7 @@ class TestNoisyOr:
         # True still succeeds through a parent noise
         spec = ObservableNoisyOr(1.0, (0.99,), (True,))
         for i in range(100):
-            noise, _, feasible = noisy_or_propose_noise(
-                True, 1.0, (0.99,), (True,), stream("no3", i)
-            )
-            assert feasible
+            _, noise, _ = spec.absorb(True, stream("no3", i))
             assert spec.output(noise) is True
 
     def test_proposal_weight_consistency_monte_carlo(self):
@@ -204,9 +197,7 @@ class TestNoisyOr:
         n = 60_000
         acc = 0.0
         for i in range(n):
-            noise, log_q, _ = noisy_or_propose_noise(
-                True, lam0, lams, states, stream("no4", i)
-            )
+            _, noise, log_q = spec.absorb(True, stream("no4", i))
             acc += math.exp(spec.noise_log_prior(noise) - log_q)
         assert abs(acc / n - target) < 0.01
 
@@ -218,10 +209,3 @@ class TestNoisyOr:
             not spec.output(spec.sample_noise(s)) for _ in range(60_000)
         )
         assert abs(falses / 60_000 - noisy_or_false_prob(lam0, lams, states)) < 0.01
-
-    @given(st.integers(0, 2**6 - 1))
-    @settings(max_examples=64)
-    def test_pack_unpack_roundtrip(self, bits):
-        noise = noisy_or_unpack(bits, 5)
-        assert noisy_or_pack(noise) == bits
-        assert len(noise) == 6  # leak plus five parent slots

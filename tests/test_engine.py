@@ -190,6 +190,21 @@ class TestReplay:
                 return
         pytest.fail("no abduction sampled x=False")
 
+    def test_branch_unseen_by_discovery_is_rerun(self):
+        # Which observable a sample instantiates depends on a coin, so
+        # half the samples use an address the discovery execution never
+        # saw; each must still rerun under do(Z=10).
+        def program(ctx):
+            z = ctx.normal(0, 1, name="Z")
+            coin = ctx.bernoulli(0.5, name="coin")
+            name = "Y" if coin.value else "Y2"
+            y = ctx.observable_normal(z.value, 0.1, name=name, depends_on=[z])
+            ctx.do(z, 10.0, kind=wi.CF)
+            ctx.predict(y.value, label="y")
+
+        res = wi.run_inference(program, 4000, seed=3)
+        assert abs(wi.estimate_expectation(res) - 10.0) < 0.05
+
     def test_missing_address_without_intervention_is_stale(self):
         def small(ctx):
             ctx.normal(0, 1, name="a")
@@ -421,6 +436,20 @@ class TestParallel:
     def test_more_workers_than_samples(self):
         r = wi.run_inference(gaussian_program, 3, seed=0, workers=8)
         assert r.n_samples == 3
+
+    def test_closure_program_on_workers(self):
+        observed = 1.2342
+
+        def program(ctx):
+            x = ctx.normal(0, 1, name="X")
+            y = ctx.observable_normal(x.value, 2, name="Y", depends_on=[x])
+            ctx.observe(y, observed)
+            ctx.predict(x.value, label="X")
+
+        r1 = wi.run_inference(program, 500, seed=13, workers=1)
+        r2 = wi.run_inference(program, 500, seed=13, workers=2)
+        assert r1.log_weights.tobytes() == r2.log_weights.tobytes()
+        assert r1.predictions == r2.predictions
 
 
 class TestEndogeneityChecks:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whatif as wi
-from whatif.engine import discover
+from whatif.engine import descendant_closure, discover
 from whatif.scm import (
     BenchQuery,
     ScmNode,
@@ -173,7 +173,7 @@ class TestPrograms:
         assert plan.parents["z"] == ("y",)
         assert plan.observed == {"y": True}
         assert set(plan.interventions) == {"x"}
-        assert plan.cf_descendants == {"y", "z"}
+        assert descendant_closure(plan.parents, plan.interventions) == {"y", "z"}
 
     def test_lazy_skips_unreachable_nodes(self):
         scm, query = self.scm_and_query()
