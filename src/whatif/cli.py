@@ -34,19 +34,6 @@ from .scm import (
     load_query,
 )
 
-BENCH_COLUMNS = (
-    "model_id",
-    "n_samples",
-    "engine",
-    "estimate",
-    "exact_value",
-    "abs_error",
-    "ess",
-    "n_rejected",
-    "wall_seconds",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -60,6 +47,9 @@ class BenchRow:
     n_rejected: int
     wall_seconds: float
     seed: int
+
+
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def _exact_answer(scm, query: BenchQuery) -> float:
@@ -116,7 +106,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.samples,
         seed=args.seed,
         workers=args.workers,
-        delta_tolerance=args.delta_tolerance,
         keep_traces=bool(args.dump_traces),
     )
     if args.dump_traces:
@@ -201,8 +190,8 @@ def _bench_model(job) -> list[BenchRow]:
 
 def _row_cells(row: BenchRow) -> list[str]:
     cells = []
-    for f in fields(BenchRow):
-        v = getattr(row, f.name)
+    for name in BENCH_COLUMNS:
+        v = getattr(row, name)
         cells.append(repr(v) if isinstance(v, float) else str(v))
     return cells
 
@@ -302,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine", choices=("eager", "lazy", "exact"), default="eager"
     )
-    run.add_argument("--delta-tolerance", type=float, default=0.0)
     run.add_argument("--dump-traces", help="write sampled traces as JSONL")
     run.set_defaults(func=cmd_run)
 

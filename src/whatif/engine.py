@@ -1,8 +1,11 @@
 """Inference engine for observational, interventional, and counterfactual queries.
 
 A program is a callable taking an execution context.  It instantiates
-random procedures (each yielding a realized value), declares parents via
-explicit depends_on lists, and issues observe / do / predict statements.
+random procedures, declares parents via explicit depends_on lists, and
+issues observe / do / predict statements.  Its handle to a procedure is
+the TraceEntry the context recorded for it (address, realized value), so
+a choice is one object: the trace keyed by address is the only address
+registry and the memo of value_if_needed.
 Every procedure goes through one entry point, ExecutionContext.sample,
 which hands it to the handler of the current phase:
 
@@ -63,13 +66,12 @@ from .errors import (
     UnobservableProcedureError,
     StaleTraceError,
 )
-from .rng import rng_for_address
+from .rng import keyed_stream, sample_key
 from .trace import (
     INTERVENED,
     LATENT,
     OBSERVED,
     Address,
-    AddressCounter,
     Trace,
     TraceEntry,
     Value,
@@ -105,17 +107,7 @@ class QueryPlan:
     delta_tolerance: float = 0.0
 
 
-class Choice:
-    """Handle to one instantiated procedure: its address and realized value."""
-
-    __slots__ = ("address", "value")
-
-    def __init__(self, address: Address, value):
-        self.address = address
-        self.value = value
-
-    def __repr__(self):
-        return f"Choice({self.address!r}, {self.value!r})"
+Choice = TraceEntry  # a program's handle to a choice is its trace entry
 
 
 def descendant_closure(
@@ -161,12 +153,10 @@ class ExecutionContext:
         "phase",
         "plan",
         "trace",
-        "seed",
-        "sample_index",
-        "counter",
         "abducted",
+        "_key",
+        "_auto",
         "_tainted",
-        "_memo",
         "_pred_i",
     )
 
@@ -182,19 +172,25 @@ class ExecutionContext:
         self.phase = phase
         self.plan = plan
         self.trace = Trace()
-        self.seed = seed
-        self.sample_index = sample_index
-        self.counter = AddressCounter()
         self.abducted = abducted
+        self._key = sample_key(seed, sample_index)
+        self._auto = 0
         self._tainted: set[Address] = set()
-        self._memo: dict[Address, Choice] = {}
         self._pred_i = 0
 
     # -- procedure constructors -------------------------------------------
 
     def sample(self, spec, *, name=None, depends_on=(), proposal=None) -> Choice:
-        """Instantiate a procedure from an explicit distribution spec."""
-        addr = self.counter.fresh(name)
+        """Instantiate a procedure from an explicit distribution spec.
+
+        Unnamed procedures get "auto:<k>", k counting only unnamed ones;
+        reusing an address is a collision, caught when it is recorded.
+        """
+        if name is None:
+            addr = f"auto:{self._auto}"
+            self._auto += 1
+        else:
+            addr = name
         parents = tuple(c.address for c in depends_on)
         phase = self.phase
         if phase == DISCOVERY:
@@ -266,11 +262,12 @@ class ExecutionContext:
     # -- phase-specific instantiation -------------------------------------
 
     def _stream(self, addr: Address):
-        return rng_for_address(self.seed, self.sample_index, addr)
+        return keyed_stream(self._key, addr)
 
-    def _record(self, addr, value, lp, lq, role, parents) -> Choice:
-        self.trace.record(TraceEntry(addr, value, lp, lq, role, parents))
-        return Choice(addr, value)
+    def _record(self, addr, value, lp, lq, role, parents) -> TraceEntry:
+        entry = TraceEntry(addr, value, lp, lq, role, parents)
+        self.trace.record(entry)
+        return entry
 
     def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
         """Sample from the prior or proposal with no evidence applied.
@@ -452,30 +449,28 @@ class ExecutionContext:
     def value_if_needed(self, name: Address, thunk) -> Choice:
         """Memoized access to the procedure at a known address.
 
+        The memo is the trace itself: an address already recorded in
+        this execution returns its entry without running the thunk.
+
         For an address forced by an intervention in the current phase the
         forced value is returned directly and the thunk never runs, so
         none of its ancestors are evaluated on its account.
         """
-        memo = self._memo
-        got = memo.get(name)
+        got = self.trace.entries.get(name)
         if got is not None:
             return got
         if self.phase != DISCOVERY:
             iv = self.plan.interventions.get(name)
             if iv is not None and (self.phase == REPLAY or iv.kind == IV):
-                self.counter.fresh(name)
                 if iv.kind == CF:
                     self._tainted.add(name)
-                choice = self._record(name, iv.value, 0.0, 0.0, INTERVENED, ())
-                memo[name] = choice
-                return choice
+                return self._record(name, iv.value, 0.0, 0.0, INTERVENED, ())
         choice = thunk()
         if not isinstance(choice, Choice) or choice.address != name:
             raise EngineError(
                 f"value_if_needed thunk for {name!r} produced "
                 f"{getattr(choice, 'address', choice)!r}"
             )
-        memo[name] = choice
         return choice
 
     def observing(self) -> bool:

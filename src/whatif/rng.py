@@ -40,11 +40,14 @@ def _address_key(address: str) -> int:
     )
 
 
+def sample_key(seed: int, sample_index: int) -> int:
+    """The (seed, sample_index) half of every stream key in one execution."""
+    return _mix64(_mix64(seed & _MASK) ^ (sample_index & _MASK))
+
+
 def stream_base(seed: int, sample_index: int, address: str) -> int:
     """64-bit stream key for the triple; collisions need ~2^32 streams."""
-    h = _mix64(seed & _MASK)
-    h = _mix64(h ^ (sample_index & _MASK))
-    return _mix64(h ^ _address_key(address))
+    return _mix64(sample_key(seed, sample_index) ^ _address_key(address))
 
 
 class RandomStream:
@@ -80,6 +83,16 @@ class RandomStream:
         return self.uniform() < p
 
 
+def keyed_stream(key: int, address: str) -> RandomStream:
+    """Stream for address in the execution whose sample_key is key.
+
+    Equal to rng_for_address(seed, sample_index, address) for
+    key = sample_key(seed, sample_index); an execution computes its key
+    once and pays one mix per stream.
+    """
+    return RandomStream(_mix64(key ^ _address_key(address)))
+
+
 def rng_for_address(seed: int, sample_index: int, address: str) -> RandomStream:
     """Stream of draws for one address within one sample's execution.
 
@@ -87,4 +100,4 @@ def rng_for_address(seed: int, sample_index: int, address: str) -> RandomStream:
     identical draw sequence.  sample_index -1 is reserved for the
     discovery pass, 0..N-1 for the N posterior samples.
     """
-    return RandomStream(stream_base(seed, sample_index, address))
+    return keyed_stream(sample_key(seed, sample_index), address)

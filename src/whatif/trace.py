@@ -18,7 +18,7 @@ different orders and must end up with bitwise-equal weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import AddressCollisionError, InvalidWeightError
@@ -54,32 +54,6 @@ def entry_contribution(entry: TraceEntry) -> float:
     return 0.0
 
 
-class AddressCounter:
-    """Issues addresses for one program execution.
-
-    Auto addresses are "auto:<k>" with k counting only auto requests, so
-    interleaved user keys do not shift them.  Reusing any key within one
-    execution is an address collision.
-    """
-
-    __slots__ = ("_n", "_seen")
-
-    def __init__(self):
-        self._n = 0
-        self._seen: set[str] = set()
-
-    def fresh(self, user_key: str | None = None) -> Address:
-        if user_key is None:
-            key = f"auto:{self._n}"
-            self._n += 1
-        else:
-            key = user_key
-        if key in self._seen:
-            raise AddressCollisionError(f"address collision: {key!r} already used")
-        self._seen.add(key)
-        return key
-
-
 class Trace:
     """Ordered map of trace entries with an accumulated log-weight."""
 
@@ -99,7 +73,11 @@ class Trace:
                 f"address collision: {entry.address!r} already recorded"
             )
         self.entries[entry.address] = entry
-        self.accumulate(entry_contribution(entry))
+        delta = entry_contribution(entry)
+        # fsum ignores zeros (either sign), so skipping them keeps every
+        # weight's bits; NaN is non-zero and still raises in accumulate.
+        if delta != 0.0:
+            self.accumulate(delta)
 
     def accumulate(self, delta: float) -> None:
         """Add a log-weight increment; -inf absorbs, NaN is an error."""

@@ -308,6 +308,42 @@ class TestStatements:
             wi.run_inference(program, 3, seed=0)
 
 
+class TestAddresses:
+    def test_auto_addresses_count_unnamed_choices_in_order(self):
+        def program(ctx):
+            a = ctx.normal(0, 1)
+            x = ctx.normal(0, 1, name="X")
+            b = ctx.normal(a.value + x.value, 1, depends_on=[a, x])
+            ctx.predict(b.value, label="b")
+
+        res = wi.run_inference(program, 2, seed=0, keep_traces=True)
+        for abd, _ in res.traces:
+            # the user key in between does not advance the auto counter
+            assert list(abd.entries) == ["auto:0", "X", "auto:1"]
+
+    def test_user_key_colliding_with_auto_address_raises(self):
+        def program(ctx):
+            ctx.normal(0, 1, name="auto:0")
+            ctx.normal(0, 1)
+
+        with pytest.raises(wi.AddressCollisionError, match="address collision"):
+            wi.run_inference(program, 1, seed=0)
+
+    def test_handle_is_the_recorded_entry(self):
+        same = []
+
+        def program(ctx):
+            x = ctx.normal(0, 1, name="x")
+            y = ctx.observable_normal(x.value, 1, name="y", depends_on=[x])
+            ctx.observe(y, 0.5)
+            ctx.do(x, 2.0, kind=wi.CF)
+            same.append(x is ctx.trace["x"] and y is ctx.trace["y"])
+            ctx.predict(y.value, label="y")
+
+        wi.run_inference(program, 3, seed=0)
+        assert same == [True] * (2 * 3 + 1)
+
+
 class TestDeltaConditioning:
     def test_tolerance_accepts_near_miss(self):
         def program(ctx):
@@ -342,7 +378,7 @@ class TestLazyGates:
 
             a = ctx.value_if_needed("x", thunk)
             b = ctx.value_if_needed("x", thunk)
-            assert a is b
+            assert a is b is ctx.trace["x"]
             ctx.predict(a.value, label="x")
 
         wi.run_inference(program, 1, seed=0)

@@ -3,7 +3,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whatif.rng import RandomStream, rng_for_address, stream_base
+from whatif.rng import (
+    RandomStream,
+    keyed_stream,
+    rng_for_address,
+    sample_key,
+    stream_base,
+)
 
 
 def test_same_coordinates_same_stream():
@@ -42,6 +48,18 @@ def test_uniform_in_unit_interval(seed, idx, addr):
     for _ in range(4):
         u = s.uniform()
         assert 0.0 <= u < 1.0
+
+
+@given(st.integers(0, 2**63 - 1), st.integers(-1, 2**31), st.text(max_size=40))
+@settings(max_examples=200)
+def test_hoisted_sample_key_gives_the_same_draws(seed, idx, addr):
+    # an execution computes sample_key once and builds every stream from it
+    def draws(stream):
+        return [stream.uniform().hex(), stream.normal().hex(), stream.uniform_pos().hex()]
+
+    hoisted = draws(keyed_stream(sample_key(seed, idx), addr))
+    assert hoisted == draws(rng_for_address(seed, idx, addr))
+    assert hoisted == draws(RandomStream(stream_base(seed, idx, addr)))
 
 
 def test_uniform_pos_never_zero():

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from whatif.errors import AddressCollisionError, InvalidWeightError
 from whatif.trace import (
+    INTERVENED,
     LATENT,
     OBSERVED,
-    AddressCounter,
     Trace,
     TraceEntry,
     entry_contribution,
@@ -17,25 +17,6 @@ from whatif.trace import (
 
 def entry(addr, value=0.0, lp=0.0, lq=0.0, role=LATENT):
     return TraceEntry(address=addr, value=value, log_prior=lp, log_proposal=lq, role=role)
-
-
-class TestAddressCounter:
-    def test_auto_addresses_count_up(self):
-        c = AddressCounter()
-        assert c.fresh() == "auto:0"
-        assert c.fresh() == "auto:1"
-
-    def test_user_keys_do_not_advance_counter(self):
-        c = AddressCounter()
-        assert c.fresh() == "auto:0"
-        assert c.fresh("X") == "X"
-        assert c.fresh() == "auto:1"
-
-    def test_collision_raises(self):
-        c = AddressCounter()
-        c.fresh("X")
-        with pytest.raises(AddressCollisionError, match="address collision"):
-            c.fresh("X")
 
 
 class TestTrace:
@@ -81,6 +62,8 @@ class TestTrace:
         t = Trace()
         with pytest.raises(InvalidWeightError, match="invalid weight increment"):
             t.accumulate(math.nan)
+        with pytest.raises(InvalidWeightError, match="invalid weight increment"):
+            t.record(entry("a", lp=math.nan, role=OBSERVED))
 
     @given(st.lists(st.floats(-50, 50), max_size=30))
     def test_weight_is_order_independent(self, deltas):
@@ -105,3 +88,15 @@ class TestTrace:
             padded.accumulate(0.0)
         padded.accumulate(-1.7)
         assert base.log_weight == padded.log_weight
+        # the same through record: zero-contribution entries, including a
+        # -0.0 likelihood, leave the bits of the weight alone
+        recorded = Trace()
+        recorded.record(entry("a", lp=0.1, role=OBSERVED))
+        recorded.record(entry("a::noise", lp=0.0, lq=0.0, role=LATENT))
+        recorded.record(entry("b", lp=-3.0, lq=-1.0, role=INTERVENED))
+        recorded.record(entry("c", lp=-0.0, role=OBSERVED))
+        recorded.record(entry("d", lp=-1.7, role=OBSERVED))
+        assert recorded.log_weight.hex() == base.log_weight.hex()
+        only_zero = Trace()
+        only_zero.record(entry("c", lp=-0.0, role=OBSERVED))
+        assert only_zero.log_weight.hex() == (0.0).hex()
