@@ -312,13 +312,23 @@ class TestAddresses:
     def test_auto_addresses_count_unnamed_choices_in_order(self):
         def program(ctx):
             a = ctx.normal(0, 1)
+            b = ctx.normal(a.value, 1, depends_on=[a])
+            c = ctx.normal(b.value, 1, depends_on=[b])
+            ctx.predict(c.value, label="c")
+
+        res = wi.run_inference(program, 2, seed=0, keep_traces=True)
+        for abd, _ in res.traces:
+            assert list(abd.entries) == ["auto:0", "auto:1", "auto:2"]
+
+    def test_user_keys_do_not_advance_auto_counter(self):
+        def program(ctx):
+            a = ctx.normal(0, 1)
             x = ctx.normal(0, 1, name="X")
             b = ctx.normal(a.value + x.value, 1, depends_on=[a, x])
             ctx.predict(b.value, label="b")
 
         res = wi.run_inference(program, 2, seed=0, keep_traces=True)
         for abd, _ in res.traces:
-            # the user key in between does not advance the auto counter
             assert list(abd.entries) == ["auto:0", "X", "auto:1"]
 
     def test_user_key_colliding_with_auto_address_raises(self):
