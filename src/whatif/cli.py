@@ -21,7 +21,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .engine import IV, ess, estimate_expectation, run_inference
+from .engine import IV, NOISE_SUFFIX, ess, estimate_expectation, run_inference
 from .errors import DegenerateGraphError, NoSurvivingSamplesError
 from .oracle import exact_counterfactual, exact_interventional
 from .scm import (
@@ -60,18 +60,26 @@ def _exact_answer(scm, query: BenchQuery) -> float:
     return exact_counterfactual(scm, evidence, {d: d_value}, query.target)
 
 
+def _choices(trace) -> dict:
+    """Values by address; an observable's noise goes first, as <addr>::noise."""
+    out = {}
+    for addr, entry in trace.entries.items():
+        if entry.noise is not None:
+            out[addr + NOISE_SUFFIX] = entry.noise
+        out[addr] = entry.value
+    return out
+
+
 def _dump_traces(result, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i, (abducted, replay) in enumerate(result.traces):
             record = {
                 "sample_index": i,
                 "log_weight": abducted.log_weight,
-                "choices": {a: e.value for a, e in abducted.entries.items()},
+                "choices": _choices(abducted),
             }
             if replay is not None:
-                record["replay_choices"] = {
-                    a: e.value for a, e in replay.entries.items()
-                }
+                record["replay_choices"] = _choices(replay)
             fh.write(json.dumps(record) + "\n")
 
 

@@ -4,7 +4,8 @@ A program is a callable taking an execution context.  It instantiates
 random procedures, declares parents via explicit depends_on lists, and
 issues observe / do / predict statements.  Its handle to a procedure is
 the TraceEntry the context recorded for it (address, realized value), so
-a choice is one object: the trace keyed by address is the only address
+a choice is one object and one entry: an observable's entry also carries
+its explicit noise.  The trace keyed by address is the only address
 registry and the memo of value_if_needed.
 Every procedure goes through one entry point, ExecutionContext.sample,
 which hands it to the handler of the current phase:
@@ -264,8 +265,8 @@ class ExecutionContext:
     def _stream(self, addr: Address):
         return keyed_stream(self._key, addr)
 
-    def _record(self, addr, value, lp, lq, role, parents) -> TraceEntry:
-        entry = TraceEntry(addr, value, lp, lq, role, parents)
+    def _record(self, addr, value, lp, lq, role, parents, noise=None) -> TraceEntry:
+        entry = TraceEntry(addr, value, lp, lq, role, parents, noise)
         self.trace.record(entry)
         return entry
 
@@ -281,10 +282,8 @@ class ExecutionContext:
         if fam in PLAIN_FAMILIES:
             value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
             return self._record(addr, value, lp, lq, LATENT, parents)
-        noise_addr = addr + NOISE_SUFFIX
-        noise = spec.sample_noise(self._stream(noise_addr + suffix))
-        self.trace.record(TraceEntry(noise_addr, noise, 0.0, 0.0, LATENT, ()))
-        return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents)
+        noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
+        return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
     def _abduct(self, addr, spec, parents, proposal) -> Choice:
         plan = self.plan
@@ -299,9 +298,8 @@ class ExecutionContext:
         """Condition the procedure at addr on its observed value.
 
         Observable families pin their noise to the observation and score
-        it by the prior-to-proposal ratio of the forced noise assignment.
-        The ratio goes on the observed output entry; the pinned noise
-        entry scores zero so the weight is not double counted.
+        it by the prior-to-proposal ratio of the forced noise assignment;
+        the one observed entry carries both the ratio and the noise.
         """
         fam = type(spec)
         if fam is Delta:
@@ -313,11 +311,9 @@ class ExecutionContext:
                 f"unobservable procedure: cannot absorb evidence at {addr!r} "
                 f"({fam.__name__} has implicit randomness)"
             )
-        noise_addr = addr + NOISE_SUFFIX
-        value, noise, log_q = spec.absorb(observed, self._stream(noise_addr))
-        self.trace.record(TraceEntry(noise_addr, noise, 0.0, 0.0, LATENT, ()))
+        value, noise, log_q = spec.absorb(observed, self._stream(addr + NOISE_SUFFIX))
         loglik = spec.noise_log_prior(noise) - log_q
-        return self._record(addr, value, loglik, log_q, OBSERVED, parents)
+        return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise)
 
     def _replay(self, addr, spec, parents) -> Choice:
         """Rerun one choice in the counterfactual world.
@@ -346,22 +342,16 @@ class ExecutionContext:
                 )
             tainted.add(addr)
             return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
-        downstream = tainted and not tainted.isdisjoint(parents)
-        if downstream:
-            tainted.add(addr)
+        if not tainted or tainted.isdisjoint(parents):
+            # Not downstream of a cf intervention: the abducted world carries over.
+            return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents, prev.noise)
+        tainted.add(addr)
         if type(spec) in OBSERVABLE_FAMILIES:
-            noise_addr = addr + NOISE_SUFFIX
-            noise = self.abducted.entries[noise_addr].value
-            self.trace.record(TraceEntry(noise_addr, noise, 0.0, 0.0, LATENT, ()))
-            if downstream:
-                return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents)
-        elif downstream:
-            # A Delta is recomputed.  An implicit-noise procedure has no
-            # shared noise to carry into the new world; it is redrawn
-            # from its prior.
-            return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
-        # Not downstream of a cf intervention: the abducted world carries over.
-        return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents)
+            noise = prev.noise
+            return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
+        # A Delta is recomputed.  An implicit-noise procedure has no shared
+        # noise to carry into the new world; it is redrawn from its prior.
+        return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
 
     # -- statements --------------------------------------------------------
 
@@ -718,8 +708,6 @@ def verify_declared_dependencies(program, *, seed: int = 0) -> list[str]:
     for addr, entry in base.entries.items():
         if entry.role != LATENT or not isinstance(entry.value, bool):
             continue
-        if addr.endswith(NOISE_SUFFIX):
-            continue
         forced = QueryPlan(
             parents=base_plan.parents,
             families=base_plan.families,
@@ -729,7 +717,7 @@ def verify_declared_dependencies(program, *, seed: int = 0) -> list[str]:
         flipped = abduction_sample(program, forced, seed, 0)
         allowed = descendant_closure(base_plan.parents, [addr])
         for other, fent in flipped.entries.items():
-            if other == addr or other.endswith(NOISE_SUFFIX):
+            if other == addr:
                 continue
             bent = base.entries.get(other)
             changed = bent is None or bent.value != fent.value

@@ -7,9 +7,10 @@ deterministically, so posteriors and counterfactuals reduce to sums of
 world probabilities.  Probabilities are kept in linear space and summed
 with compensated summation.
 
-Dependent-node functions are evaluated through small per-node lookup
-tables built with the same scalar threshold arithmetic the engine uses,
-so borderline theta sums agree with sampled runs bitwise.
+A dependent node's threshold sum is one array over the worlds, built
+by adding theta over true parents in declaration order as
+linear_threshold does, so borderline sums agree with sampled runs
+bitwise.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleEvidenceError
-from .scm import DEPENDENT, PRIOR, ScmSpec, linear_threshold
+from .scm import PRIOR, ScmSpec
 
 MAX_NODES = 25
 _CHUNK = 1 << 16
@@ -31,7 +32,7 @@ class DiscreteWorld:
     """One exogenous assignment with its induced node values.
 
     Exogenous keys are node ids for prior nodes and "<id>::noise" for
-    dependent nodes, matching engine trace addresses.
+    dependent nodes, the keys `whatif run --dump-traces` writes them under.
     """
 
     exogenous: dict[str, bool]
@@ -48,35 +49,13 @@ def _check_size(scm: ScmSpec) -> int:
     return m
 
 
-def _f_tables(scm: ScmSpec):
-    """Per dependent node: parent column indices and a 2^k output table."""
-    index = {n.id: i for i, n in enumerate(scm.nodes)}
-    tables = {}
-    for node in scm.nodes:
-        if node.kind != DEPENDENT:
-            continue
-        k = len(node.parents)
-        if k <= 12:
-            table = np.array(
-                [
-                    linear_threshold(node.theta, [(pat >> j) & 1 for j in range(k)])
-                    for pat in range(1 << k)
-                ],
-                dtype=bool,
-            )
-        else:
-            table = None  # fall back to a dot product for very wide nodes
-        tables[node.id] = ([index[p] for p in node.parents], table, node.theta)
-    return tables
-
-
 def _world_bits(m: int, lo: int, hi: int) -> np.ndarray:
     idx = np.arange(lo, hi, dtype=np.uint64)[:, None]
     shifts = np.arange(m, dtype=np.uint64)[None, :]
     return ((idx >> shifts) & np.uint64(1)).astype(bool)
 
 
-def _node_values(scm: ScmSpec, bits: np.ndarray, tables, forced: dict[str, bool]):
+def _node_values(scm: ScmSpec, bits: np.ndarray, forced: dict[str, bool]):
     """Endogenous values per world, with forced overrides applied."""
     values: dict[str, np.ndarray] = {}
     for i, node in enumerate(scm.nodes):
@@ -85,16 +64,11 @@ def _node_values(scm: ScmSpec, bits: np.ndarray, tables, forced: dict[str, bool]
         elif node.kind == PRIOR:
             col = bits[:, i]
         else:
-            cols, table, theta = tables[node.id]
-            if table is not None:
-                pattern = np.zeros(bits.shape[0], dtype=np.int64)
-                for j, ci in enumerate(cols):
-                    pattern |= values[scm.nodes[ci].id].astype(np.int64) << j
-                f_val = table[pattern]
-            else:
-                stack = np.stack([values[scm.nodes[ci].id] for ci in cols], axis=1)
-                f_val = stack.astype(float) @ np.asarray(theta) > 0.5
-            col = f_val ^ bits[:, i]
+            # A false parent adds +0.0, which leaves the sum's bits alone.
+            acc = np.zeros(bits.shape[0])
+            for p, t in zip(node.parents, node.theta):
+                acc += values[p] * t
+            col = (acc > 0.5) ^ bits[:, i]
         values[node.id] = col
     return values
 
@@ -126,18 +100,17 @@ def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str
     mutilated one (post-surgery conditioning).
     """
     m = _check_size(scm)
-    tables = _f_tables(scm)
     totals: list[float] = []
     hits: list[float] = []
     n_worlds = 1 << m
     for lo in range(0, n_worlds, _CHUNK):
         bits = _world_bits(m, lo, min(lo + _CHUNK, n_worlds))
         probs = _world_probs(scm, bits)
-        forced_values = _node_values(scm, bits, tables, interventions)
+        forced_values = _node_values(scm, bits, interventions)
         if condition_on_intervened:
             base_values = forced_values
         elif interventions:
-            base_values = _node_values(scm, bits, tables, {})
+            base_values = _node_values(scm, bits, {})
         else:
             base_values = forced_values
         mask = np.ones(bits.shape[0], dtype=bool)
@@ -159,13 +132,12 @@ def enumerate_posterior(scm: ScmSpec, evidence: dict[str, bool]) -> list[Discret
     """
     m = _check_size(scm)
     _validate_nodes(scm, evidence, {})
-    tables = _f_tables(scm)
     kept: list[tuple[dict, dict, float]] = []
     n_worlds = 1 << m
     for lo in range(0, n_worlds, _CHUNK):
         bits = _world_bits(m, lo, min(lo + _CHUNK, n_worlds))
         probs = _world_probs(scm, bits)
-        values = _node_values(scm, bits, tables, {})
+        values = _node_values(scm, bits, {})
         mask = probs > 0.0
         for nid, val in evidence.items():
             mask &= values[nid] == val

@@ -31,8 +31,9 @@ _THETA_TOL = 1e-9
 def linear_threshold(theta: tuple[float, ...], parent_values) -> bool:
     """f = [sum of theta over true parents > 0.5].
 
-    Accumulates in declaration order; the exact oracle evaluates the
-    same function so borderline sums agree bitwise with the engine.
+    Accumulates in declaration order.  The exact oracle adds the same
+    terms in the same order, so borderline sums agree bitwise between
+    sampled runs and the oracle.
     """
     acc = 0.0
     for t, v in zip(theta, parent_values):
@@ -82,7 +83,7 @@ class ScmSpec:
                         f"model: {ctx}: got {len(node.theta)} theta values for "
                         f"{len(node.parents)} parents"
                     )
-                if abs(sum(node.theta) - 1.0) > _THETA_TOL:
+                if not abs(sum(node.theta) - 1.0) <= _THETA_TOL:  # NaN too
                     raise ValueError(
                         f"model: {ctx}: theta must sum to 1, got {sum(node.theta)!r}"
                     )
@@ -209,24 +210,29 @@ def derive_seed(base: int, *parts) -> int:
 # -- programs --------------------------------------------------------------
 
 
+def _node_choice(ctx, node: ScmNode, evidence: dict[str, bool], parent_choices):
+    """Instantiate one node; eager and lazy programs both build it here.
+
+    Observing a root is conditioning-by-proposal on the node itself, so a
+    root under evidence gets a pinned proposal rather than an observe; the
+    importance weight is the same log-mass either way.
+    """
+    if node.kind == PRIOR:
+        ev = evidence.get(node.id)
+        return ctx.bernoulli(
+            node.p, name=node.id, proposal_p=None if ev is None else (1.0 if ev else 0.0)
+        )
+    f_val = linear_threshold(node.theta, [c.value for c in parent_choices])
+    return ctx.observable_bernoulli(f_val, node.q, name=node.id, depends_on=parent_choices)
+
+
 def _eager_program(ctx, scm: ScmSpec, query: BenchQuery):
     """Every node instantiated in topological order, then the statements."""
     evidence = query.evidence
     choices = {}
     for node in scm.nodes:
-        if node.kind == PRIOR:
-            ev = evidence.get(node.id)
-            choices[node.id] = ctx.bernoulli(
-                node.p,
-                name=node.id,
-                proposal_p=None if ev is None else (1.0 if ev else 0.0),
-            )
-        else:
-            pars = [choices[p] for p in node.parents]
-            f_val = linear_threshold(node.theta, [c.value for c in pars])
-            choices[node.id] = ctx.observable_bernoulli(
-                f_val, node.q, name=node.id, depends_on=pars
-            )
+        pars = [choices[p] for p in node.parents]
+        choices[node.id] = _node_choice(ctx, node, evidence, pars)
     for nid, val in evidence.items():
         if scm.node(nid).kind == DEPENDENT:
             ctx.observe(choices[nid], val)
@@ -236,29 +242,14 @@ def _eager_program(ctx, scm: ScmSpec, query: BenchQuery):
 
 
 def _lazy_program(ctx, scm: ScmSpec, query: BenchQuery):
-    """Only ancestors of the statements actually issued get evaluated.
-
-    Observing a root is conditioning-by-proposal on the node itself, so
-    roots under evidence are built with a pinned proposal rather than
-    observed; the importance weight is the same log-mass either way.
-    """
+    """Only ancestors of the statements actually issued get evaluated."""
     evidence = query.evidence
 
     def compute(nid):
         def thunk():
             node = scm.node(nid)
-            if node.kind == PRIOR:
-                ev = evidence.get(nid)
-                return ctx.bernoulli(
-                    node.p,
-                    name=nid,
-                    proposal_p=None if ev is None else (1.0 if ev else 0.0),
-                )
             pars = [compute(p) for p in node.parents]
-            f_val = linear_threshold(node.theta, [c.value for c in pars])
-            return ctx.observable_bernoulli(
-                f_val, node.q, name=nid, depends_on=pars
-            )
+            return _node_choice(ctx, node, evidence, pars)
 
         return ctx.value_if_needed(nid, thunk)
 

@@ -2,8 +2,9 @@
 
 An address is a plain string, either supplied by the program author or
 auto-generated in execution order.  Each entry records the value at an
-address together with the log densities that justify its contribution to
-the importance weight:
+address (and, for an observable procedure, the explicit noise behind it)
+together with the log densities that justify its contribution to the
+importance weight:
 
     latent      contributes log_prior - log_proposal
     observed    contributes log_prior (the absorbed likelihood)
@@ -41,6 +42,7 @@ class TraceEntry:
     log_proposal: float
     role: str
     parents: tuple[Address, ...] = ()
+    noise: object = None  # an observable's explicit noise; None otherwise
 
 
 def entry_contribution(entry: TraceEntry) -> float:

@@ -175,13 +175,16 @@ def test_criterion_4_replay_invariants():
             violations += 1
         recorded = {a: e.parents for a, e in rep.entries.items()}
         cf_roots = [a for a, iv in plan.interventions.items() if iv.kind == wi.CF]
-        protected = descendant_closure(recorded, cf_roots) | set(plan.interventions)
+        protected = descendant_closure(recorded, cf_roots)
         for addr, entry in abd.entries.items():
-            base = addr[: -len("::noise")] if addr.endswith("::noise") else addr
-            if base in protected:
+            if addr in plan.interventions:
                 continue
             other = rep.entries.get(addr)
-            if other is None or other.value != entry.value:
+            # the abducted noise is held fixed, downstream of the
+            # intervention too; only non-descendants keep their values
+            if other is None or other.noise != entry.noise:
+                violations += 1
+            elif addr not in protected and other.value != entry.value:
                 violations += 1
         identity_plan = QueryPlan(
             observed=plan.observed,
@@ -195,7 +198,8 @@ def test_criterion_4_replay_invariants():
             violations += 1
         else:
             for addr, entry in abd.entries.items():
-                if ident.entries[addr].value != entry.value:
+                other = ident.entries[addr]
+                if other.value != entry.value or other.noise != entry.noise:
                     violations += 1
                     break
     ok = violations == 0
@@ -203,7 +207,8 @@ def test_criterion_4_replay_invariants():
         4,
         ok,
         f"{REPLAY_MODELS} random small models: {violations} violations of "
-        "weight preservation / non-descendant immutability / "
+        "weight preservation / abducted noise held fixed / "
+        "non-descendant immutability / "
         f"no-intervention identity ({time.perf_counter() - t0:.1f}s)",
     )
 
@@ -214,7 +219,7 @@ def test_criterion_5_inverse_noise_consistency():
     bad = 0
 
     # normal: the absorbed output must be the observation itself, with
-    # the noise entry holding the exact residual
+    # the entry's noise the exact residual
     def normal_case(mean, obs):
         def program(ctx):
             y = ctx.observable_normal(mean, 1.5, name="y")
@@ -223,7 +228,7 @@ def test_criterion_5_inverse_noise_consistency():
 
         plan = discover(program)
         trace = abduction_sample(program, plan, 1, 0)
-        return trace["y"].value == obs and trace["y::noise"].value == obs - mean
+        return trace["y"].value == obs and trace["y"].noise == obs - mean
 
     for _ in range(INVERSION_CASES):
         if not normal_case(rng.uniform(-100, 100), rng.uniform(-100, 100)):

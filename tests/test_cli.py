@@ -156,8 +156,12 @@ class TestRun:
         assert len(lines) == 20
         first = json.loads(lines[0])
         assert first["sample_index"] == 0
-        assert set(first["choices"]) >= {"x", "y", "y::noise"}
         assert "log_weight" in first
+        for line in lines:
+            choices = json.loads(line)["choices"]
+            # the noise key precedes its output, and y = f(x) xor noise, f = x
+            assert list(choices) == ["x", "y::noise", "y"]
+            assert choices["y"] == (choices["x"] != choices["y::noise"])
 
     def test_console_script_entry_point(self, two_node_files):
         model, query = two_node_files

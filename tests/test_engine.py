@@ -47,7 +47,7 @@ class TestWeights:
             x = abd["X"].value
             z = abd["Z"].value
             eps = 1.2342 - (x + z)
-            assert abd["Y::noise"].value == eps
+            assert abd["Y"].noise == eps
             assert lw == Normal(0, 2).log_density(eps)
 
     def test_replay_preserves_weight_bitwise(self):
@@ -166,7 +166,7 @@ class TestReplay:
         assert rep["a"].value == abd["a"].value  # not downstream of b
         assert rep["b"].value == 9.0
         # c reruns its function under the abducted noise
-        assert rep["c"].value == abd["a"].value + 9.0 + abd["c::noise"].value
+        assert rep["c"].value == abd["a"].value + 9.0 + abd["c"].noise
 
     def test_intervention_opened_branch_draws_from_prior(self):
         def program(ctx):
@@ -300,12 +300,18 @@ class TestStatements:
         assert abs(wi.estimate_expectation(res, "factual") - 0.5) < 0.05
 
     def test_address_collision_detected(self):
-        def program(ctx):
+        def plain(ctx):
             ctx.normal(0, 1, name="x")
             ctx.normal(0, 1, name="x")
 
-        with pytest.raises(wi.AddressCollisionError):
-            wi.run_inference(program, 3, seed=0)
+        def observable(ctx):
+            ctx.observable_normal(0, 1, name="y")
+            ctx.observable_normal(0, 1, name="y")
+
+        # the error names the address the program wrote
+        for program, addr in ((plain, "x"), (observable, "y")):
+            with pytest.raises(wi.AddressCollisionError, match=f"'{addr}' already recorded"):
+                wi.run_inference(program, 3, seed=0)
 
 
 class TestAddresses:

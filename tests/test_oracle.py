@@ -139,25 +139,31 @@ class TestExactQueries:
             assert 0.0 <= val <= 1.0
 
     def test_wide_node_fallback_matches_structural_equations(self):
-        # 13 parents exceeds the lookup-table cutoff and takes the dot
-        # product path
+        # 13 parents; the second theta has many parent subsets summing to
+        # exactly 0.5 in declaration order, which another summation order
+        # (a BLAS dot product) can push to either side of the threshold
         gen = random.Random(3)
         priors = tuple(
             ScmNode(f"n{i}", "prior", p=gen.uniform(0.3, 0.7)) for i in range(13)
         )
         raw = [gen.betavariate(5, 5) for _ in range(13)]
         total = sum(raw)
-        wide = ScmNode(
-            "wide",
-            "dependent",
-            parents=tuple(f"n{i}" for i in range(13)),
-            theta=tuple(t / total for t in raw),
-            q=0.3,
-        )
-        scm = ScmSpec(priors + (wide,))
-        for w in enumerate_posterior(scm, {}):
-            f = linear_threshold(wide.theta, [w.values[p] for p in wide.parents])
-            assert w.values["wide"] == (f ^ w.exogenous["wide::noise"])
+        ties = (1, 2, 1, 1, 3, 2, 3, 3, 3, 1, 2, 1, 3)
+        for theta in (
+            tuple(t / total for t in raw),
+            tuple(t / 26 for t in ties),
+        ):
+            wide = ScmNode(
+                "wide",
+                "dependent",
+                parents=tuple(f"n{i}" for i in range(13)),
+                theta=theta,
+                q=0.3,
+            )
+            scm = ScmSpec(priors + (wide,))
+            for w in enumerate_posterior(scm, {}):
+                f = linear_threshold(wide.theta, [w.values[p] for p in wide.parents])
+                assert w.values["wide"] == (f ^ w.exogenous["wide::noise"])
 
 
 class TestEngineAgreement:

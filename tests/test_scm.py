@@ -29,13 +29,14 @@ def test_linear_threshold_values():
 
 class TestValidation:
     def test_theta_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="node 'y'.*theta must sum to 1"):
-            ScmSpec(
-                (
-                    ScmNode("x", "prior", p=0.5),
-                    ScmNode("y", "dependent", parents=("x",), theta=(0.7,), q=0.1),
+        for theta in ((0.7,), (float("nan"),)):
+            with pytest.raises(ValueError, match="node 'y'.*theta must sum to 1"):
+                ScmSpec(
+                    (
+                        ScmNode("x", "prior", p=0.5),
+                        ScmNode("y", "dependent", parents=("x",), theta=theta, q=0.1),
+                    )
                 )
-            )
 
     def test_parents_must_be_earlier_nodes(self):
         with pytest.raises(ValueError, match="parent 'z' is not an earlier node"):
