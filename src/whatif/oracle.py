@@ -2,15 +2,26 @@
 
 Every model in the benchmark class has one exogenous bit per node: the
 value itself for prior nodes, the flip noise for dependent nodes.  With
-m nodes the joint has 2^m worlds; endogenous values follow
-deterministically, so posteriors and counterfactuals reduce to sums of
-world probabilities.  Probabilities are kept in linear space and summed
-with compensated summation.
+m nodes the joint has 2^m worlds, world w giving node i the bit
+(w >> i) & 1.  Endogenous values follow deterministically, so
+posteriors and counterfactuals reduce to sums of world probabilities.
 
-A dependent node's threshold sum is one array over the worlds, built
-by adding theta over true parents in declaration order as
-linear_threshold does, so borderline sums agree with sampled runs
-bitwise.
+The walk covers the worlds in chunks of 2^16 consecutive indices.  Once
+per query: the low nodes 0..15 take the same bits in every chunk, so
+their probability product (in node order), their values in the forced
+and the factual pass, and their part of the evidence mask are built
+once.  Node i's column repeats every 2^(i+1) worlds and is computed on
+that many.  Per chunk: each high node has one bit, fixed depth first in
+node order, so a chunk multiplies the low product by the high nodes'
+factors in node order, and one threshold sum of a high node serves both
+of its bits.  Only ancestors of the evidence and the target get values,
+and the factual pass redoes only the intervened nodes and their
+descendants.  Each world thus gets the node-order product and the
+linear_threshold sums that a world-by-world evaluation gives.
+
+Masses are summed with math.fsum per chunk, then over the chunks.  Each
+fsum rounds once, so the chunk width is part of every answer's bits;
+the order of the chunks is not.
 """
 
 from __future__ import annotations
@@ -20,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import descendant_closure
 from .errors import ImpossibleEvidenceError
-from .scm import PRIOR, ScmSpec
+from .scm import PRIOR, ScmSpec, linear_threshold
 
 MAX_NODES = 25
 _CHUNK = 1 << 16
@@ -33,6 +45,8 @@ class DiscreteWorld:
 
     Exogenous keys are node ids for prior nodes and "<id>::noise" for
     dependent nodes, the keys `whatif run --dump-traces` writes them under.
+    enumerate_posterior reads the bits off the world's index and the
+    values off the chunk walk's columns.
     """
 
     exogenous: dict[str, bool]
@@ -40,45 +54,12 @@ class DiscreteWorld:
     probability: float
 
 
-def _check_size(scm: ScmSpec) -> int:
+def _check_size(scm: ScmSpec):
     m = len(scm.nodes)
     if m > MAX_NODES:
         raise ValueError(
             f"enumeration bound exceeded: {m} exogenous bits (max {MAX_NODES})"
         )
-    return m
-
-
-def _world_bits(m: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    shifts = np.arange(m, dtype=np.uint64)[None, :]
-    return ((idx >> shifts) & np.uint64(1)).astype(bool)
-
-
-def _node_values(scm: ScmSpec, bits: np.ndarray, forced: dict[str, bool]):
-    """Endogenous values per world, with forced overrides applied."""
-    values: dict[str, np.ndarray] = {}
-    for i, node in enumerate(scm.nodes):
-        if node.id in forced:
-            col = np.full(bits.shape[0], forced[node.id], dtype=bool)
-        elif node.kind == PRIOR:
-            col = bits[:, i]
-        else:
-            # A false parent adds +0.0, which leaves the sum's bits alone.
-            acc = np.zeros(bits.shape[0])
-            for p, t in zip(node.parents, node.theta):
-                acc += values[p] * t
-            col = (acc > 0.5) ^ bits[:, i]
-        values[node.id] = col
-    return values
-
-
-def _world_probs(scm: ScmSpec, bits: np.ndarray) -> np.ndarray:
-    probs = np.ones(bits.shape[0])
-    for i, node in enumerate(scm.nodes):
-        on = node.p if node.kind == PRIOR else node.q
-        probs *= np.where(bits[:, i], on, 1.0 - on)
-    return probs
 
 
 def _validate_nodes(scm: ScmSpec, evidence, interventions, target=None):
@@ -90,64 +71,120 @@ def _validate_nodes(scm: ScmSpec, evidence, interventions, target=None):
         scm.node(target)
 
 
-def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
-                target: str | None, condition_on_intervened: bool):
-    """Chunked pass over all worlds.
+def _ancestors(scm: ScmSpec, ids) -> set[str]:
+    """The given nodes and all their ancestors."""
+    keep = set(ids)
+    for node in reversed(scm.nodes):
+        if node.id in keep:
+            keep.update(node.parents)
+    return keep
 
-    Returns (total evidence mass, mass where the target is true after
-    forcing interventions).  Evidence is checked against the original
-    world unless condition_on_intervened, which checks it against the
-    mutilated one (post-surgery conditioning).
+
+def _head(v, n: int):
+    return v[:n] if isinstance(v, np.ndarray) else v
+
+
+def _rule(node, known: dict, forced: dict[str, bool], n: int):
+    """The node's value as a function of its exogenous bit, over the first
+    n worlds of a chunk, given its parents' values in known."""
+    if node.id in forced:
+        value = forced[node.id]
+        return lambda bit: value
+    if node.kind == PRIOR:
+        return lambda bit: bit
+    f = linear_threshold(node.theta, [_head(known[p], n) for p in node.parents])
+    return lambda bit: f ^ bit
+
+
+def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
+            needed: set[str], condition_on_intervened: bool):
+    """Yield (first world, probabilities, values, evidence mask) per chunk.
+
+    values maps the needed nodes, interventions forced, to bool columns
+    (a bool where constant over the chunk).  The mask tests the evidence
+    in the original world unless condition_on_intervened, which tests it
+    in the mutilated one (post-surgery conditioning).
     """
-    m = _check_size(scm)
-    totals: list[float] = []
-    hits: list[float] = []
-    n_worlds = 1 << m
-    for lo in range(0, n_worlds, _CHUNK):
-        bits = _world_bits(m, lo, min(lo + _CHUNK, n_worlds))
-        probs = _world_probs(scm, bits)
-        forced_values = _node_values(scm, bits, interventions)
-        if condition_on_intervened:
-            base_values = forced_values
-        elif interventions:
-            base_values = _node_values(scm, bits, {})
-        else:
-            base_values = forced_values
-        mask = np.ones(bits.shape[0], dtype=bool)
-        for nid, val in evidence.items():
-            mask &= base_values[nid] == val
-        totals.append(math.fsum(probs[mask]))
-        if target is not None:
-            hits.append(math.fsum(probs[mask & forced_values[target]]))
-    total = math.fsum(totals)
-    hit = math.fsum(hits) if target is not None else 0.0
-    return total, hit
+    m = len(scm.nodes)
+    low = min(m, _CHUNK.bit_length() - 1)
+    width = 1 << low
+    ons = [node.p if node.kind == PRIOR else node.q for node in scm.nodes]
+    redo: set[str] = set()
+    if interventions and not condition_on_intervened:
+        # only the forced nodes and their descendants differ in the factual pass
+        moved = descendant_closure({n.id: n.parents for n in scm.nodes}, interventions)
+        redo = (moved | interventions.keys()) & _ancestors(scm, evidence)
+
+    def widen(v):
+        short = isinstance(v, np.ndarray) and len(v) < width
+        return np.tile(v, width // len(v)) if short else v
+
+    def step(state, i, bits):
+        # the (forced values, factual values, mask) after node i takes each bit
+        values, base, mask = state
+        node = scm.nodes[i]
+        if node.id not in needed:
+            return [state] * len(bits)
+        n = min(2 << i, width)  # a low node's column repeats every 2^(i+1) worlds
+        forced = _rule(node, values, interventions, n)
+        factual = _rule(node, base, {}, n) if node.id in redo else forced
+        out = []
+        for bit in bits:
+            v = widen(forced(bit))
+            b = v if factual is forced else widen(factual(bit))
+            held = mask & (b == evidence[node.id]) if node.id in evidence else mask
+            out.append(({**values, node.id: v}, {**base, node.id: b}, held))
+        return out
+
+    def walk(i, c, probs, state):
+        # fix high node i's bit both ways, depth first
+        if i == m:
+            yield c << low, probs, state[0], state[2]
+            return
+        for b, after in zip((False, True), step(state, i, (False, True))):
+            yield from walk(i + 1, c | b << (i - low),
+                            probs * (ons[i] if b else 1.0 - ons[i]), after)
+
+    prefix = np.ones(1)
+    state = ({}, {}, np.ones(width, dtype=bool))
+    for i in range(low):
+        prefix = np.concatenate((prefix * (1.0 - ons[i]), prefix * ons[i]))
+        (state,) = step(state, i, [np.repeat((False, True), 1 << i)])
+    yield from walk(low, 0, prefix, state)
+
+
+def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
+                target: str, condition_on_intervened: bool):
+    """(total evidence mass, mass where the target is true after forcing
+    interventions), each an fsum per chunk and then over the chunks."""
+    _check_size(scm)
+    needed = _ancestors(scm, [*evidence, target])
+    totals, hits = [], []
+    for _, probs, values, mask in _chunks(
+        scm, evidence, interventions, needed, condition_on_intervened
+    ):
+        totals.append(math.fsum(probs[mask].tolist()))
+        hits.append(math.fsum(probs[mask & values[target]].tolist()))
+    return math.fsum(totals), math.fsum(hits)
 
 
 def enumerate_posterior(scm: ScmSpec, evidence: dict[str, bool]) -> list[DiscreteWorld]:
     """Worlds consistent with the evidence, probabilities renormalized.
 
-    Zero-probability worlds are omitted.  Raises ImpossibleEvidenceError
-    when the evidence itself has probability zero.
+    Worlds come from the same chunk walk as the exact queries, in index
+    order within a chunk.  Zero-probability worlds are omitted.  Raises
+    ImpossibleEvidenceError when the evidence itself has probability zero.
     """
-    m = _check_size(scm)
+    _check_size(scm)
     _validate_nodes(scm, evidence, {})
+    ids = [node.id for node in scm.nodes]
+    keys = [n.id if n.kind == PRIOR else n.id + "::noise" for n in scm.nodes]
     kept: list[tuple[dict, dict, float]] = []
-    n_worlds = 1 << m
-    for lo in range(0, n_worlds, _CHUNK):
-        bits = _world_bits(m, lo, min(lo + _CHUNK, n_worlds))
-        probs = _world_probs(scm, bits)
-        values = _node_values(scm, bits, {})
-        mask = probs > 0.0
-        for nid, val in evidence.items():
-            mask &= values[nid] == val
-        for row in np.nonzero(mask)[0]:
-            exo = {}
-            vals = {}
-            for i, node in enumerate(scm.nodes):
-                key = node.id if node.kind == PRIOR else node.id + "::noise"
-                exo[key] = bool(bits[row, i])
-                vals[node.id] = bool(values[node.id][row])
+    for lo, probs, values, mask in _chunks(scm, evidence, {}, set(ids), False):
+        cols = [np.broadcast_to(values[nid], probs.shape) for nid in ids]
+        for row in np.flatnonzero(mask & (probs > 0.0)).tolist():
+            exo = {key: bool(lo + row >> i & 1) for i, key in enumerate(keys)}
+            vals = {nid: bool(col[row]) for nid, col in zip(ids, cols)}
             kept.append((exo, vals, float(probs[row])))
     total = math.fsum(p for _, _, p in kept)
     if total <= 0.0:

@@ -28,17 +28,18 @@ DEPENDENT = "dependent"
 _THETA_TOL = 1e-9
 
 
-def linear_threshold(theta: tuple[float, ...], parent_values) -> bool:
+def linear_threshold(theta: tuple[float, ...], parent_values):
     """f = [sum of theta over true parents > 0.5].
 
-    Accumulates in declaration order.  The exact oracle adds the same
-    terms in the same order, so borderline sums agree bitwise between
-    sampled runs and the oracle.
+    Accumulates v * t in declaration order, so parent values may be bools
+    or numpy bool columns (one sum per row).  A false parent adds a zero,
+    which leaves the sum's bits alone because acc is never -0.0.  The
+    exact oracle calls this on columns, so borderline sums agree bitwise
+    between sampled runs and the oracle.
     """
     acc = 0.0
     for t, v in zip(theta, parent_values):
-        if v:
-            acc += t
+        acc += v * t
     return acc > 0.5
 
 
@@ -245,13 +246,13 @@ def _lazy_program(ctx, scm: ScmSpec, query: BenchQuery):
     """Only ancestors of the statements actually issued get evaluated."""
     evidence = query.evidence
 
-    def compute(nid):
-        def thunk():
-            node = scm.node(nid)
-            pars = [compute(p) for p in node.parents]
-            return _node_choice(ctx, node, evidence, pars)
+    def thunk(nid):
+        node = scm.node(nid)
+        return _node_choice(ctx, node, evidence, [compute(p) for p in node.parents])
 
-        return ctx.value_if_needed(nid, thunk)
+    def compute(nid):
+        got = ctx.trace.entries.get(nid)  # memo first: a hit builds no thunk
+        return got if got is not None else ctx.value_if_needed(nid, partial(thunk, nid))
 
     if ctx.observing():
         for nid, val in evidence.items():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import whatif as wi
+from whatif import oracle
 from whatif.oracle import MAX_NODES, enumerate_posterior
 from whatif.scm import ScmNode, ScmSpec, linear_threshold
 
@@ -209,3 +210,140 @@ class TestEngineAgreement:
             assert abs(exact - est) < 0.05
             checked += 1
         assert checked >= 5
+
+
+def world_values(scm, w, forced):
+    """Node values in world w, node i taking exogenous bit (w >> i) & 1."""
+    values = {}
+    for i, node in enumerate(scm.nodes):
+        bit = bool(w >> i & 1)
+        if node.id in forced:
+            values[node.id] = forced[node.id]
+        elif node.kind == "prior":
+            values[node.id] = bit
+        else:
+            f = linear_threshold(node.theta, [values[p] for p in node.parents])
+            values[node.id] = f ^ bit
+    return values
+
+
+def world_prob(scm, w):
+    prob = 1.0
+    for i, node in enumerate(scm.nodes):
+        on = node.p if node.kind == "prior" else node.q
+        prob *= on if w >> i & 1 else 1.0 - on
+    return prob
+
+
+def reference(scm, evidence, interventions, target, chunk, condition_on_intervened):
+    """The oracle's answer one world at a time: (total, hit), each an fsum
+    per chunk of `chunk` consecutive worlds and then over the chunks."""
+    totals, hits = [], []
+    n_worlds = 1 << len(scm.nodes)
+    for lo in range(0, n_worlds, chunk):
+        total, hit = [], []
+        for w in range(lo, min(lo + chunk, n_worlds)):
+            forced = world_values(scm, w, interventions)
+            base = forced if condition_on_intervened else world_values(scm, w, {})
+            if all(base[nid] == val for nid, val in evidence.items()):
+                total.append(world_prob(scm, w))
+                if forced[target]:
+                    hit.append(world_prob(scm, w))
+        totals.append(math.fsum(total))
+        hits.append(math.fsum(hit))
+    return math.fsum(totals), math.fsum(hits)
+
+
+def reference_cases():
+    """Generated 4-10-node models, plus p=1 / q=0 nodes under a query
+    whose target is the intervened node."""
+    cases = []
+    for i in range(24):
+        gen = random.Random(wi.derive_seed(61, i))
+        scm = wi.generate_scm(gen, n_blocks=4 + i % 7, edge_density=0.4)
+        try:
+            q = wi.generate_query(gen, scm)
+        except wi.DegenerateGraphError:
+            continue
+        cases.append((scm, q.evidence, dict([q.intervention]), q.target))
+    pinned = ScmSpec(
+        (
+            ScmNode("a", "prior", p=1.0),
+            ScmNode("b", "prior", p=0.4),
+            ScmNode("c", "dependent", parents=("a", "b"), theta=(0.5, 0.5), q=0.0),
+            ScmNode("d", "dependent", parents=("c",), theta=(1.0,), q=0.25),
+            ScmNode("e", "prior", p=0.0),
+            ScmNode("f", "dependent", parents=("d", "e", "b"), theta=(0.3, 0.3, 0.4), q=0.1),
+        )
+    )
+    cases.append((pinned, {"f": True}, {"d": False}, "d"))
+    cases.append((pinned, {"d": True}, {"c": False}, "f"))
+    return cases
+
+
+class TestBitwiseReference:
+    """The chunked walk against a world-by-world evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("case", reference_cases())
+    def test_queries_match_world_by_world_reference(self, monkeypatch, case):
+        # 8-world chunks, so these models span up to 128 chunks
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
+        scm, evidence, interventions, target = case
+        queries = [
+            (lambda: wi.exact_counterfactual(scm, evidence, interventions, target),
+             interventions, False),
+            (lambda: wi.exact_interventional(scm, evidence, interventions, target),
+             interventions, True),
+            (lambda: wi.exact_observational(scm, evidence, target), {}, False),
+        ]
+        for answer, iv, condition_on_intervened in queries:
+            total, hit = reference(scm, evidence, iv, target, 1 << 3, condition_on_intervened)
+            if total <= 0.0:
+                with pytest.raises(wi.ImpossibleEvidenceError):
+                    answer()
+            else:
+                assert answer() == hit / total
+
+    @pytest.mark.parametrize("case", reference_cases()[-4:])
+    def test_posterior_worlds_match_reference(self, monkeypatch, case):
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
+        scm, evidence = case[0], case[1]
+        kept = {
+            w: world_prob(scm, w)
+            for w in range(1 << len(scm.nodes))
+            if world_prob(scm, w) > 0.0
+            and all(world_values(scm, w, {})[n] == v for n, v in evidence.items())
+        }
+        total = math.fsum(kept.values())
+        got = {}
+        for world in enumerate_posterior(scm, evidence):
+            bits = [
+                world.exogenous[n.id if n.kind == "prior" else n.id + "::noise"]
+                for n in scm.nodes
+            ]
+            w = sum(b << i for i, b in enumerate(bits))
+            assert world.values == world_values(scm, w, {})
+            got[w] = world.probability
+        assert got == {w: p / total for w, p in kept.items()}
+
+
+def test_golden_counterfactuals():
+    # hex answers of the world-at-a-time oracle this walk replaced
+    golden = {
+        (17, 0): "0x1.15f10190b7254p-1",
+        (20, 1): "0x1.ce889250220dbp-1",
+        (22, 2): "0x1.fe54b1ec0cc15p-2",
+    }
+    for (n_blocks, i), expected in golden.items():
+        attempt = 0
+        while True:
+            gen = random.Random(wi.derive_seed(6, i, attempt))
+            scm = wi.generate_scm(gen, n_blocks=n_blocks)
+            try:
+                q = wi.generate_query(gen, scm)
+                break
+            except wi.DegenerateGraphError:
+                attempt += 1
+        d, dv = q.intervention
+        got = wi.exact_counterfactual(scm, q.evidence, {d: dv}, q.target)
+        assert got.hex() == expected

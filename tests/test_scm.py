@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,17 @@ def test_linear_threshold_values():
     assert linear_threshold((0.5, 0.5), [True, False]) is False  # strict >
     assert linear_threshold((0.5, 0.5), [True, True]) is True
     assert linear_threshold((), []) is False
+
+
+def test_linear_threshold_takes_bool_columns():
+    # 0.2 + 0.3 lands exactly on the strict threshold
+    theta = (0.2, 0.3, 0.5)
+    rows = list(itertools.product((False, True), repeat=3))
+    cols = [np.array(c) for c in zip(*rows)]
+    expected = [linear_threshold(theta, r) for r in rows]
+    assert linear_threshold(theta, cols).tolist() == expected
+    mixed = linear_threshold(theta, [True, cols[1], cols[2]])
+    assert mixed.tolist() == [linear_threshold(theta, (True,) + r[1:]) for r in rows]
 
 
 class TestValidation:
