@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,14 +21,13 @@ from multiprocessing import get_context
 import numpy as np
 
 from .engine import IV, NOISE_SUFFIX, ess, estimate_expectation, run_inference
-from .errors import DegenerateGraphError, NoSurvivingSamplesError
+from .errors import NoSurvivingSamplesError
 from .oracle import exact_counterfactual, exact_interventional
 from .scm import (
     BenchQuery,
     build_program,
     derive_seed,
-    generate_query,
-    generate_scm,
+    generate_case,
     load_model,
     load_query,
 )
@@ -90,7 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         program = None
         if args.engine != "exact":
             program = build_program(scm, query, style=args.engine)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
@@ -140,20 +138,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _bench_model(job) -> list[BenchRow]:
     index, base_seed, n_blocks, budgets, timing = job
-    attempt = 0
-    while True:
-        gen = random.Random(derive_seed(base_seed, index, attempt))
-        scm = generate_scm(gen, n_blocks=n_blocks)
-        try:
-            query = generate_query(gen, scm)
-            break
-        except DegenerateGraphError:
-            attempt += 1
-            print(
-                f"model {index}: degenerate graph, regenerating (attempt {attempt})",
-                file=sys.stderr,
-            )
-
+    scm, query = generate_case(base_seed, index, n_blocks)
     model_id = f"m{index:03d}"
     t0 = time.perf_counter()
     exact_value = _exact_answer(scm, query)
@@ -215,27 +200,6 @@ def write_bench_csv(rows: list[BenchRow], path: str) -> None:
         fh.write(buf.getvalue())
 
 
-def read_bench_csv(path: str) -> list[BenchRow]:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                BenchRow(
-                    model_id=rec["model_id"],
-                    n_samples=int(rec["n_samples"]),
-                    engine=rec["engine"],
-                    estimate=float(rec["estimate"]),
-                    exact_value=float(rec["exact_value"]),
-                    abs_error=float(rec["abs_error"]),
-                    ess=float(rec["ess"]),
-                    n_rejected=int(rec["n_rejected"]),
-                    wall_seconds=float(rec["wall_seconds"]),
-                    seed=int(rec["seed"]),
-                )
-            )
-    return rows
-
-
 def summarize(rows: list[BenchRow]) -> list[tuple[str, int, float, float, float]]:
     """Mean and 10th/90th percentile absolute error per engine and budget."""
     groups: dict[tuple[str, int], list[float]] = {}
@@ -259,10 +223,9 @@ def summarize(rows: list[BenchRow]) -> list[tuple[str, int, float, float, float]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    budgets = tuple(int(s) for s in args.samples.split(","))
     timing = not args.no_timing
     jobs = [
-        (i, args.seed, args.blocks, budgets, timing) for i in range(args.models)
+        (i, args.seed, args.blocks, args.samples, timing) for i in range(args.models)
     ]
     rows: list[BenchRow] = []
     if args.workers > 1:
@@ -283,6 +246,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
+
+
+def _sample_budgets(text: str) -> tuple[int, ...]:
+    return tuple(_at_least(1)(s) for s in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whatif",
@@ -293,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="answer one query on a model file")
     run.add_argument("--model", required=True, help="model JSON path")
     run.add_argument("--query", required=True, help="query JSON path")
-    run.add_argument("--samples", type=int, default=1000)
+    run.add_argument("--samples", type=_at_least(1), default=1000)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--workers", type=int, default=1)
     run.add_argument(
@@ -304,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="random-model convergence study")
     bench.add_argument("--models", type=int, default=50)
-    bench.add_argument("--blocks", type=int, default=12)
-    bench.add_argument("--samples", default="100,1000,5000")
+    # the first two nodes are never targets, so smaller graphs are all degenerate
+    bench.add_argument("--blocks", type=_at_least(3), default=12)
+    bench.add_argument("--samples", type=_sample_budgets, default="100,1000,5000")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--out", required=True, help="output CSV path")

@@ -27,7 +27,6 @@ the order of the chunks is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,38 +36,6 @@ from .scm import PRIOR, ScmSpec, linear_threshold
 
 MAX_NODES = 25
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class DiscreteWorld:
-    """One exogenous assignment with its induced node values.
-
-    Exogenous keys are node ids for prior nodes and "<id>::noise" for
-    dependent nodes, the keys `whatif run --dump-traces` writes them under.
-    enumerate_posterior reads the bits off the world's index and the
-    values off the chunk walk's columns.
-    """
-
-    exogenous: dict[str, bool]
-    values: dict[str, bool]
-    probability: float
-
-
-def _check_size(scm: ScmSpec):
-    m = len(scm.nodes)
-    if m > MAX_NODES:
-        raise ValueError(
-            f"enumeration bound exceeded: {m} exogenous bits (max {MAX_NODES})"
-        )
-
-
-def _validate_nodes(scm: ScmSpec, evidence, interventions, target=None):
-    for nid in evidence:
-        scm.node(nid)
-    for nid in interventions:
-        scm.node(nid)
-    if target is not None:
-        scm.node(target)
 
 
 def _ancestors(scm: ScmSpec, ids) -> set[str]:
@@ -97,18 +64,20 @@ def _rule(node, known: dict, forced: dict[str, bool], n: int):
 
 
 def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
-            needed: set[str], condition_on_intervened: bool):
-    """Yield (first world, probabilities, values, evidence mask) per chunk.
+            target: str, condition_on_intervened: bool):
+    """Yield (probabilities, target values, evidence mask) per chunk.
 
-    values maps the needed nodes, interventions forced, to bool columns
-    (a bool where constant over the chunk).  The mask tests the evidence
-    in the original world unless condition_on_intervened, which tests it
-    in the mutilated one (post-surgery conditioning).
+    Only the ancestors of the evidence and the target get values, with
+    the interventions forced; the target's is a bool column (a bool where
+    constant over the chunk).  The mask tests the evidence in the original
+    world unless condition_on_intervened, which tests it in the mutilated
+    one (post-surgery conditioning).
     """
     m = len(scm.nodes)
     low = min(m, _CHUNK.bit_length() - 1)
     width = 1 << low
     ons = [node.p if node.kind == PRIOR else node.q for node in scm.nodes]
+    needed = _ancestors(scm, [*evidence, target])
     redo: set[str] = set()
     if interventions and not condition_on_intervened:
         # only the forced nodes and their descendants differ in the factual pass
@@ -136,65 +105,47 @@ def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bo
             out.append(({**values, node.id: v}, {**base, node.id: b}, held))
         return out
 
-    def walk(i, c, probs, state):
+    def walk(i, probs, state):
         # fix high node i's bit both ways, depth first
         if i == m:
-            yield c << low, probs, state[0], state[2]
+            yield probs, state[0][target], state[2]
             return
         for b, after in zip((False, True), step(state, i, (False, True))):
-            yield from walk(i + 1, c | b << (i - low),
-                            probs * (ons[i] if b else 1.0 - ons[i]), after)
+            yield from walk(i + 1, probs * (ons[i] if b else 1.0 - ons[i]), after)
 
     prefix = np.ones(1)
     state = ({}, {}, np.ones(width, dtype=bool))
     for i in range(low):
         prefix = np.concatenate((prefix * (1.0 - ons[i]), prefix * ons[i]))
         (state,) = step(state, i, [np.repeat((False, True), 1 << i)])
-    yield from walk(low, 0, prefix, state)
+    yield from walk(low, prefix, state)
 
 
 def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
-                target: str, condition_on_intervened: bool):
-    """(total evidence mass, mass where the target is true after forcing
-    interventions), each an fsum per chunk and then over the chunks."""
-    _check_size(scm)
-    needed = _ancestors(scm, [*evidence, target])
+                target: str, condition_on_intervened: bool) -> float:
+    """P(target) with the interventions forced, given the evidence: the
+    target's mass over the evidence mass, each an fsum per chunk and then
+    over the chunks.  Unknown nodes raise before the size bound does."""
+    for nid in [*evidence, *interventions, target]:
+        scm.node(nid)
+    if len(scm.nodes) > MAX_NODES:
+        raise ValueError(
+            f"enumeration bound exceeded: {len(scm.nodes)} exogenous bits "
+            f"(max {MAX_NODES})"
+        )
     totals, hits = [], []
-    for _, probs, values, mask in _chunks(
-        scm, evidence, interventions, needed, condition_on_intervened
+    for probs, hit, mask in _chunks(
+        scm, evidence, interventions, target, condition_on_intervened
     ):
         totals.append(math.fsum(probs[mask].tolist()))
-        hits.append(math.fsum(probs[mask & values[target]].tolist()))
-    return math.fsum(totals), math.fsum(hits)
-
-
-def enumerate_posterior(scm: ScmSpec, evidence: dict[str, bool]) -> list[DiscreteWorld]:
-    """Worlds consistent with the evidence, probabilities renormalized.
-
-    Worlds come from the same chunk walk as the exact queries, in index
-    order within a chunk.  Zero-probability worlds are omitted.  Raises
-    ImpossibleEvidenceError when the evidence itself has probability zero.
-    """
-    _check_size(scm)
-    _validate_nodes(scm, evidence, {})
-    ids = [node.id for node in scm.nodes]
-    keys = [n.id if n.kind == PRIOR else n.id + "::noise" for n in scm.nodes]
-    kept: list[tuple[dict, dict, float]] = []
-    for lo, probs, values, mask in _chunks(scm, evidence, {}, set(ids), False):
-        cols = [np.broadcast_to(values[nid], probs.shape) for nid in ids]
-        for row in np.flatnonzero(mask & (probs > 0.0)).tolist():
-            exo = {key: bool(lo + row >> i & 1) for i, key in enumerate(keys)}
-            vals = {nid: bool(col[row]) for nid, col in zip(ids, cols)}
-            kept.append((exo, vals, float(probs[row])))
-    total = math.fsum(p for _, _, p in kept)
+        hits.append(math.fsum(probs[mask & hit].tolist()))
+    total = math.fsum(totals)
     if total <= 0.0:
+        where = " under the intervened model" if condition_on_intervened else ""
         raise ImpossibleEvidenceError(
-            f"impossible evidence: {evidence!r} has probability zero"
+            f"impossible evidence: {evidence!r} has probability zero{where}"
         )
-    return [
-        DiscreteWorld(exogenous=exo, values=vals, probability=p / total)
-        for exo, vals, p in kept
-    ]
+    return math.fsum(hits) / total
 
 
 def exact_counterfactual(
@@ -209,15 +160,7 @@ def exact_counterfactual(
     evidence, interventions forced, endogenous values recomputed per
     world, and the target averaged under the posterior.
     """
-    _validate_nodes(scm, evidence, interventions, target)
-    total, hit = _accumulate(
-        scm, evidence, interventions, target, condition_on_intervened=False
-    )
-    if total <= 0.0:
-        raise ImpossibleEvidenceError(
-            f"impossible evidence: {evidence!r} has probability zero"
-        )
-    return hit / total
+    return _accumulate(scm, evidence, interventions, target, condition_on_intervened=False)
 
 
 def exact_interventional(
@@ -227,16 +170,7 @@ def exact_interventional(
     target: str,
 ) -> float:
     """P(target = 1 | evidence) in the mutilated (surgically edited) model."""
-    _validate_nodes(scm, evidence, interventions, target)
-    total, hit = _accumulate(
-        scm, evidence, interventions, target, condition_on_intervened=True
-    )
-    if total <= 0.0:
-        raise ImpossibleEvidenceError(
-            f"impossible evidence: {evidence!r} has probability zero under "
-            "the intervened model"
-        )
-    return hit / total
+    return _accumulate(scm, evidence, interventions, target, condition_on_intervened=True)
 
 
 def exact_observational(scm: ScmSpec, evidence: dict[str, bool], target: str) -> float:

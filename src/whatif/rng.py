@@ -7,9 +7,10 @@ of the same program bitwise identical, and makes results independent of
 how samples are partitioned across worker processes.
 
 Streams use a splitmix64 counter construction: the k-th raw draw is
-mix64(base + (k+1) * GAMMA) where base is derived by hashing the triple.
-Addresses are folded in through blake2b so the mapping is stable across
-processes and platforms (never the salted builtin hash()).
+mix64(base + (k+1) * GAMMA) where base is derived by hashing the triple
+into 64 bits (collisions need ~2^32 streams).  Addresses are folded in
+through blake2b so the mapping is stable across processes and platforms
+(never the salted builtin hash()).
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def _address_key(address: str) -> int:
 def sample_key(seed: int, sample_index: int) -> int:
     """The (seed, sample_index) half of every stream key in one execution."""
     return _mix64(_mix64(seed & _MASK) ^ (sample_index & _MASK))
-
-
-def stream_base(seed: int, sample_index: int, address: str) -> int:
-    """64-bit stream key for the triple; collisions need ~2^32 streams."""
-    return _mix64(sample_key(seed, sample_index) ^ _address_key(address))
 
 
 class RandomStream:

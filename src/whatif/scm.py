@@ -14,6 +14,7 @@ with at least one admissible descendant, and a descendant target.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -119,12 +120,6 @@ def descendants(scm: ScmSpec, node_id: str) -> frozenset[str]:
     return descendant_closure({n.id: n.parents for n in scm.nodes}, [node_id])
 
 
-def has_directed_path(scm: ScmSpec, src: str, dst: str) -> bool:
-    """True iff a directed path of one or more edges runs src -> dst."""
-    scm.node(dst)
-    return dst in descendants(scm, src)
-
-
 # -- generation ------------------------------------------------------------
 
 
@@ -206,6 +201,21 @@ def derive_seed(base: int, *parts) -> int:
         h.update(b"/")
         h.update(repr(part).encode())
     return int.from_bytes(h.digest(), "little") >> 1
+
+
+def generate_case(base_seed: int, index: int, n_blocks: int) -> tuple[ScmSpec, BenchQuery]:
+    """The index-th benchmark model and query of base_seed.
+
+    Attempt k draws both from random.Random(derive_seed(base_seed, index,
+    k)); a degenerate graph moves on to the next attempt.
+    """
+    for attempt in itertools.count():
+        gen = random.Random(derive_seed(base_seed, index, attempt))
+        scm = generate_scm(gen, n_blocks=n_blocks)
+        try:
+            return scm, generate_query(gen, scm)
+        except DegenerateGraphError:
+            pass
 
 
 # -- programs --------------------------------------------------------------
@@ -328,8 +338,10 @@ def scm_from_json(doc) -> ScmSpec:
             parents = item.get("parents")
             theta = item.get("theta")
             _require(
-                isinstance(parents, list) and parents,
-                f"model: node {nid!r}: dependent nodes need a parents list",
+                isinstance(parents, list)
+                and parents
+                and all(isinstance(par, str) for par in parents),
+                f"model: node {nid!r}: dependent nodes need a list of parent ids",
             )
             _require(
                 isinstance(theta, list)

@@ -71,22 +71,11 @@ def bench_rows():
     return rows
 
 
-def speed_corpus_model(index):
-    attempt = 0
-    while True:
-        gen = random.Random(wi.derive_seed(1000 + BENCH_SEED, index, attempt))
-        scm = wi.generate_scm(gen, n_blocks=SPEED_BLOCKS)
-        try:
-            return scm, wi.generate_query(gen, scm)
-        except wi.DegenerateGraphError:
-            attempt += 1
-
-
 @pytest.fixture(scope="session")
 def speed_runs():
     runs = []
     for m in range(SPEED_MODELS):
-        scm, query = speed_corpus_model(m)
+        scm, query = wi.generate_case(1000 + BENCH_SEED, m, SPEED_BLOCKS)
         seed = wi.derive_seed(1000 + BENCH_SEED, m, "run")
         eager = wi.run_inference(
             wi.build_program(scm, query, "eager"), SPEED_SAMPLES, seed=seed
@@ -314,15 +303,7 @@ def test_criterion_8_worker_invariance(gaussian_run, bench_rows):
             for r in bench_rows
             if r.model_id == f"m{m:03d}" and r.engine == "eager" and r.n_samples == 5000
         )
-        attempt = 0
-        while True:  # same regeneration loop as the bench harness
-            gen = random.Random(wi.derive_seed(BENCH_SEED, m, attempt))
-            scm = wi.generate_scm(gen, n_blocks=BENCH_BLOCKS)
-            try:
-                query = wi.generate_query(gen, scm)
-                break
-            except wi.DegenerateGraphError:
-                attempt += 1
+        scm, query = wi.generate_case(BENCH_SEED, m, BENCH_BLOCKS)  # as the bench
         res = wi.run_inference(
             wi.build_program(scm, query, "eager"),
             5000,

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import whatif as wi
-from whatif.cli import main, read_bench_csv, summarize
+from whatif.cli import BenchRow, main, summarize
 from whatif.scm import query_to_json, scm_to_json
 
 TWO_NODE = {
@@ -28,6 +29,16 @@ def two_node_files(tmp_path):
     model.write_text(json.dumps(TWO_NODE))
     query.write_text(json.dumps(FLIP_QUERY))
     return str(model), str(query)
+
+
+def read_bench_rows(path):
+    """The bench CSV back as BenchRow records."""
+    casts = {"model_id": str, "engine": str, "n_samples": int, "n_rejected": int, "seed": int}
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            BenchRow(**{k: casts.get(k, float)(v) for k, v in rec.items()})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def run_cli(args, capsys):
@@ -81,22 +92,43 @@ class TestRun:
 
     def test_schema_violation_exits_one_and_names_the_node(self, tmp_path, capsys):
         model = tmp_path / "model.json"
-        bad = {
-            "nodes": [
-                {"id": "x", "kind": "prior", "p": 0.5},
-                {"id": "y", "kind": "dependent", "parents": ["x"],
-                 "theta": [0.7], "q": 0.2},
-            ]
-        }
-        model.write_text(json.dumps(bad))
         query = tmp_path / "query.json"
         query.write_text(json.dumps(FLIP_QUERY))
-        code, out, err = run_cli(
-            ["run", "--model", str(model), "--query", str(query)], capsys
-        )
-        assert code == 1
-        assert out == ""
-        assert "node 'y'" in err and "theta" in err
+        for y_keys, word in (
+            ({"parents": ["x"], "theta": [0.7]}, "theta"),
+            ({"parents": [["x"]], "theta": [1.0]}, "parent"),
+        ):
+            bad = {
+                "nodes": [
+                    {"id": "x", "kind": "prior", "p": 0.5},
+                    {"id": "y", "kind": "dependent", "q": 0.2, **y_keys},
+                ]
+            }
+            model.write_text(json.dumps(bad))
+            code, out, err = run_cli(
+                ["run", "--model", str(model), "--query", str(query)], capsys
+            )
+            assert code == 1
+            assert out == ""
+            assert "node 'y'" in err and word in err
+
+    def test_missing_file_exits_one_and_names_the_path(self, tmp_path, two_node_files, capsys):
+        model, query = two_node_files
+        missing = str(tmp_path / "missing.json")
+        for files in (("--model", missing, "--query", query),
+                      ("--model", model, "--query", missing)):
+            code, out, err = run_cli(["run", *files], capsys)
+            assert code == 1
+            assert out == ""
+            assert missing in err
+
+    def test_non_positive_samples_is_a_usage_error(self, two_node_files, capsys):
+        model, query = two_node_files
+        for samples in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--model", model, "--query", query, "--samples", samples])
+            assert exc.value.code == 2
+            assert "--samples" in capsys.readouterr().err
 
     def test_invalid_json_exits_one_with_line(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -186,6 +218,16 @@ class TestBench:
         assert code == 0
         return out, stdout
 
+    def test_bad_budget_or_block_count_is_a_usage_error(self, tmp_path, capsys):
+        # two blocks used to redraw degenerate graphs forever
+        out = tmp_path / "bench.csv"
+        for flag, value in (("--samples", "100,0"), ("--blocks", "2")):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--models", "1", flag, value, "--out", str(out)])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
     def test_csv_shape_and_sorting(self, tmp_path, capsys):
         path, _ = self.bench(tmp_path, capsys)
         text = path.read_text()
@@ -194,7 +236,7 @@ class TestBench:
             "model_id,n_samples,engine,estimate,exact_value,abs_error,"
             "ess,n_rejected,wall_seconds,seed"
         )
-        rows = read_bench_csv(str(path))
+        rows = read_bench_rows(path)
         assert len(rows) == 3 * (1 + 2 * 2)  # exact + 2 engines x 2 budgets
         keys = [(r.model_id, r.engine, r.n_samples) for r in rows]
         assert keys == sorted(keys)
@@ -211,7 +253,7 @@ class TestBench:
 
     def test_rows_are_consistent(self, tmp_path, capsys):
         path, _ = self.bench(tmp_path, capsys)
-        rows = read_bench_csv(str(path))
+        rows = read_bench_rows(path)
         by_engine = {}
         for r in rows:
             assert r.abs_error == abs(r.estimate - r.exact_value)
@@ -228,7 +270,7 @@ class TestBench:
 
     def test_summary_lines_match_rows(self, tmp_path, capsys):
         path, stdout = self.bench(tmp_path, capsys)
-        rows = read_bench_csv(str(path))
+        rows = read_bench_rows(path)
         summary = summarize(rows)
         assert {(e, n) for e, n, *_ in summary} == {
             ("eager", 100), ("eager", 400), ("lazy", 100), ("lazy", 400)

@@ -5,7 +5,7 @@ import pytest
 
 import whatif as wi
 from whatif import oracle
-from whatif.oracle import MAX_NODES, enumerate_posterior
+from whatif.oracle import MAX_NODES
 from whatif.scm import ScmNode, ScmSpec, linear_threshold
 
 
@@ -20,33 +20,28 @@ def two_node():
 
 class TestPosterior:
     def test_two_node_posterior_worlds(self):
-        worlds = enumerate_posterior(two_node(), {"y": True})
-        by_exo = {
-            (w.exogenous["x"], w.exogenous["y::noise"]): w.probability for w in worlds
-        }
-        assert set(by_exo) == {(True, False), (False, True)}
-        assert math.isclose(by_exo[(True, False)], 0.8)
-        assert math.isclose(by_exo[(False, True)], 0.2)
+        # y = x xor noise with q = 0.2; y = 1 keeps the worlds (x, noise) =
+        # (1, 0) and (0, 1), with posterior mass 0.8 and 0.2
+        assert math.isclose(wi.exact_observational(two_node(), {"y": True}, "x"), 0.8)
 
     def test_empty_evidence_sums_to_one(self):
-        worlds = enumerate_posterior(two_node(), {})
-        assert len(worlds) == 4
-        assert math.isclose(math.fsum(w.probability for w in worlds), 1.0)
+        # with no evidence every world counts: the prior marginals, and the
+        # posteriors given y = 1 and y = 0 average back to P(x = 1)
+        scm = two_node()
+        p_x = wi.exact_observational(scm, {}, "x")
+        p_y = wi.exact_observational(scm, {}, "y")
+        assert math.isclose(p_x, 0.5)
+        assert math.isclose(p_y, 0.5 * 0.8 + 0.5 * 0.2)
+        given = {v: wi.exact_observational(scm, {"y": v}, "x") for v in (False, True)}
+        assert math.isclose(p_y * given[True] + (1.0 - p_y) * given[False], p_x)
 
-    def test_worlds_obey_structural_equations(self):
+    def test_worlds_obey_structural_equations(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
         gen = random.Random(31)
         scm = wi.generate_scm(gen, n_blocks=9)
-        for w in enumerate_posterior(scm, {}):
-            for node in scm.nodes:
-                if node.kind == "prior":
-                    assert w.values[node.id] == w.exogenous[node.id]
-                else:
-                    f = linear_threshold(
-                        node.theta, [w.values[p] for p in node.parents]
-                    )
-                    assert w.values[node.id] == (
-                        f ^ w.exogenous[node.id + "::noise"]
-                    )
+        for node in scm.nodes:
+            total, hit = reference(scm, {}, {}, node.id, 1 << 3, False)
+            assert wi.exact_observational(scm, {}, node.id) == hit / total
 
     def test_impossible_evidence_raises(self):
         scm = ScmSpec(
@@ -57,24 +52,20 @@ class TestPosterior:
         )
         # x is surely 1 and y copies it noiselessly
         with pytest.raises(wi.ImpossibleEvidenceError, match="impossible evidence"):
-            enumerate_posterior(scm, {"y": False})
-
-    def test_zero_probability_worlds_omitted(self):
-        scm = ScmSpec((ScmNode("x", "prior", p=1.0),))
-        worlds = enumerate_posterior(scm, {})
-        assert len(worlds) == 1
-        assert worlds[0].values["x"] is True
+            wi.exact_observational(scm, {"y": False}, "x")
 
     def test_unknown_evidence_node_rejected(self):
         with pytest.raises(KeyError, match="no node"):
-            enumerate_posterior(two_node(), {"zzz": True})
+            wi.exact_observational(two_node(), {"zzz": True}, "x")
+        with pytest.raises(KeyError, match="no node"):
+            wi.exact_observational(two_node(), {}, "zzz")
 
     def test_size_guard(self):
         nodes = tuple(
             ScmNode(f"n{i}", "prior", p=0.5) for i in range(MAX_NODES + 1)
         )
         with pytest.raises(ValueError, match="enumeration bound"):
-            enumerate_posterior(ScmSpec(nodes), {})
+            wi.exact_observational(ScmSpec(nodes), {}, "n0")
 
 
 class TestExactQueries:
@@ -86,10 +77,8 @@ class TestExactQueries:
     def test_counterfactual_of_unintervened_is_posterior_marginal(self):
         scm = two_node()
         post = wi.exact_counterfactual(scm, {"y": True}, {}, "x")
-        worlds = enumerate_posterior(scm, {"y": True})
-        marginal = math.fsum(w.probability for w in worlds if w.values["x"])
-        assert math.isclose(post, marginal)
-        assert math.isclose(wi.exact_observational(scm, {"y": True}, "x"), post)
+        assert math.isclose(post, 0.8)
+        assert wi.exact_observational(scm, {"y": True}, "x") == post
 
     def test_iv_and_cf_coincide_without_evidence(self):
         gen = random.Random(77)
@@ -139,10 +128,13 @@ class TestExactQueries:
             val = wi.exact_counterfactual(scm, q.evidence, {d: dv}, q.target)
             assert 0.0 <= val <= 1.0
 
-    def test_wide_node_fallback_matches_structural_equations(self):
+    def test_wide_node_fallback_matches_structural_equations(self, monkeypatch):
         # 13 parents; the second theta has many parent subsets summing to
         # exactly 0.5 in declaration order, which another summation order
-        # (a BLAS dot product) can push to either side of the threshold
+        # (a BLAS dot product) can push to either side of the threshold.
+        # Against the world-by-world reference at the same chunk width, a
+        # single world that breaks the structural equation moves the answer.
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
         gen = random.Random(3)
         priors = tuple(
             ScmNode(f"n{i}", "prior", p=gen.uniform(0.3, 0.7)) for i in range(13)
@@ -162,9 +154,8 @@ class TestExactQueries:
                 q=0.3,
             )
             scm = ScmSpec(priors + (wide,))
-            for w in enumerate_posterior(scm, {}):
-                f = linear_threshold(wide.theta, [w.values[p] for p in wide.parents])
-                assert w.values["wide"] == (f ^ w.exogenous["wide::noise"])
+            total, hit = reference(scm, {}, {}, "wide", 1 << 3, False)
+            assert wi.exact_observational(scm, {}, "wide") == hit / total
 
 
 class TestEngineAgreement:
@@ -306,25 +297,12 @@ class TestBitwiseReference:
 
     @pytest.mark.parametrize("case", reference_cases()[-4:])
     def test_posterior_worlds_match_reference(self, monkeypatch, case):
+        # the posterior over worlds, read off every node's marginal
         monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
         scm, evidence = case[0], case[1]
-        kept = {
-            w: world_prob(scm, w)
-            for w in range(1 << len(scm.nodes))
-            if world_prob(scm, w) > 0.0
-            and all(world_values(scm, w, {})[n] == v for n, v in evidence.items())
-        }
-        total = math.fsum(kept.values())
-        got = {}
-        for world in enumerate_posterior(scm, evidence):
-            bits = [
-                world.exogenous[n.id if n.kind == "prior" else n.id + "::noise"]
-                for n in scm.nodes
-            ]
-            w = sum(b << i for i, b in enumerate(bits))
-            assert world.values == world_values(scm, w, {})
-            got[w] = world.probability
-        assert got == {w: p / total for w, p in kept.items()}
+        for node in scm.nodes:
+            total, hit = reference(scm, evidence, {}, node.id, 1 << 3, False)
+            assert wi.exact_observational(scm, evidence, node.id) == hit / total
 
 
 def test_golden_counterfactuals():
@@ -335,15 +313,7 @@ def test_golden_counterfactuals():
         (22, 2): "0x1.fe54b1ec0cc15p-2",
     }
     for (n_blocks, i), expected in golden.items():
-        attempt = 0
-        while True:
-            gen = random.Random(wi.derive_seed(6, i, attempt))
-            scm = wi.generate_scm(gen, n_blocks=n_blocks)
-            try:
-                q = wi.generate_query(gen, scm)
-                break
-            except wi.DegenerateGraphError:
-                attempt += 1
+        scm, q = wi.generate_case(6, i, n_blocks)
         d, dv = q.intervention
         got = wi.exact_counterfactual(scm, q.evidence, {d: dv}, q.target)
         assert got.hex() == expected

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whatif.rng import (
-    RandomStream,
     keyed_stream,
     rng_for_address,
     sample_key,
-    stream_base,
 )
 
 
@@ -44,7 +42,7 @@ def test_distinct_seeds_and_indices_decorrelate():
 @given(st.integers(0, 2**63 - 1), st.integers(-1, 2**31), st.text(max_size=40))
 @settings(max_examples=200)
 def test_uniform_in_unit_interval(seed, idx, addr):
-    s = RandomStream(stream_base(seed, idx, addr))
+    s = rng_for_address(seed, idx, addr)
     for _ in range(4):
         u = s.uniform()
         assert 0.0 <= u < 1.0
@@ -59,7 +57,6 @@ def test_hoisted_sample_key_gives_the_same_draws(seed, idx, addr):
 
     hoisted = draws(keyed_stream(sample_key(seed, idx), addr))
     assert hoisted == draws(rng_for_address(seed, idx, addr))
-    assert hoisted == draws(RandomStream(stream_base(seed, idx, addr)))
 
 
 def test_uniform_pos_never_zero():

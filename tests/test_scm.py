@@ -123,6 +123,21 @@ class TestGeneration:
         with pytest.raises(wi.DegenerateGraphError, match="degenerate graph"):
             wi.generate_query(gen, scm)
 
+    def test_generate_case_regenerates_degenerate_graphs(self):
+        def draw(index, attempt):
+            gen = random.Random(wi.derive_seed(0, index, attempt))
+            return gen, wi.generate_scm(gen, n_blocks=4)
+
+        # model 39 of seed 0 at 4 blocks is degenerate on attempts 0, 1 and 2
+        for attempt in range(3):
+            gen, scm = draw(39, attempt)
+            with pytest.raises(wi.DegenerateGraphError):
+                wi.generate_query(gen, scm)
+        gen, scm = draw(39, 3)
+        assert wi.generate_case(0, 39, 4) == (scm, wi.generate_query(gen, scm))
+        gen, scm = draw(0, 0)  # model 0 needs no retry
+        assert wi.generate_case(0, 0, 4) == (scm, wi.generate_query(gen, scm))
+
     def test_generation_is_deterministic_in_the_rng(self):
         a = wi.generate_scm(random.Random(123), n_blocks=12)
         b = wi.generate_scm(random.Random(123), n_blocks=12)
@@ -148,9 +163,9 @@ class TestReachability:
 
     def test_directed_path(self):
         scm = self.diamond()
-        assert wi.has_directed_path(scm, "a", "d")
-        assert not wi.has_directed_path(scm, "b", "c")
-        assert not wi.has_directed_path(scm, "a", "a")  # strict reachability
+        assert "d" in wi.descendants(scm, "a")
+        assert "c" not in wi.descendants(scm, "b")
+        assert "a" not in wi.descendants(scm, "a")  # strict reachability
 
 
 class TestDerivedSeeds:
