@@ -9,8 +9,8 @@ a subprocess.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 import time
@@ -68,26 +68,28 @@ def _choices(trace) -> dict:
     return out
 
 
-def _dump_traces(result, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (abducted, replay) in enumerate(result.traces):
-            record = {
-                "sample_index": i,
-                "log_weight": abducted.log_weight,
-                "choices": _choices(abducted),
-            }
-            if replay is not None:
-                record["replay_choices"] = _choices(replay)
-            fh.write(json.dumps(record) + "\n")
+def _dump_traces(result, fh) -> None:
+    for i, (abducted, replay) in enumerate(result.traces):
+        record = {
+            "sample_index": i,
+            "log_weight": abducted.log_weight,
+            "choices": _choices(abducted),
+        }
+        if replay is not None:
+            record["replay_choices"] = _choices(replay)
+        fh.write(json.dumps(record) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scm = load_model(args.model)
         query = load_query(args.query)
-        program = None
+        program = dump = None
         if args.engine != "exact":
             program = build_program(scm, query, style=args.engine)
+            # Opened before inference, so a bad path fails before any work.
+            if args.dump_traces:
+                dump = open(args.dump_traces, "w", encoding="utf-8")
     except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -107,15 +109,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(out))
         return 0
 
-    result = run_inference(
-        program,
-        args.samples,
-        seed=args.seed,
-        workers=args.workers,
-        keep_traces=bool(args.dump_traces),
-    )
-    if args.dump_traces:
-        _dump_traces(result, args.dump_traces)
+    with dump or contextlib.nullcontext():
+        result = run_inference(
+            program,
+            args.samples,
+            seed=args.seed,
+            workers=args.workers,
+            keep_traces=dump is not None,
+        )
+        if dump is not None:
+            _dump_traces(result, dump)
     if result.degenerate:
         print("degenerate posterior: every sample was rejected", file=sys.stderr)
         return 2
@@ -189,15 +192,12 @@ def _row_cells(row: BenchRow) -> list[str]:
     return cells
 
 
-def write_bench_csv(rows: list[BenchRow], path: str) -> None:
+def write_bench_csv(rows: list[BenchRow], fh) -> None:
     ordered = sorted(rows, key=lambda r: (r.model_id, r.engine, r.n_samples))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for row in ordered:
         writer.writerow(_row_cells(row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
 
 
 def summarize(rows: list[BenchRow]) -> list[tuple[str, int, float, float, float]]:
@@ -224,20 +224,27 @@ def summarize(rows: list[BenchRow]) -> list[tuple[str, int, float, float, float]
 
 def cmd_bench(args: argparse.Namespace) -> int:
     timing = not args.no_timing
+    try:
+        # Opened before the study runs, so a bad path fails before any work.
+        out = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     jobs = [
         (i, args.seed, args.blocks, args.samples, timing) for i in range(args.models)
     ]
     rows: list[BenchRow] = []
-    if args.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=args.workers, mp_context=get_context("fork")
-        ) as pool:
-            for chunk in pool.map(_bench_model, jobs):
-                rows.extend(chunk)
-    else:
-        for job in jobs:
-            rows.extend(_bench_model(job))
-    write_bench_csv(rows, args.out)
+    with out:
+        if args.workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=args.workers, mp_context=get_context("fork")
+            ) as pool:
+                for chunk in pool.map(_bench_model, jobs):
+                    rows.extend(chunk)
+        else:
+            for job in jobs:
+                rows.extend(_bench_model(job))
+        write_bench_csv(rows, out)
     for engine, n, mean, p10, p90 in summarize(rows):
         print(
             f"{engine} n={n}: mean abs error {mean:.5f} "

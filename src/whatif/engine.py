@@ -36,6 +36,14 @@ else N + 1.  Every random draw comes from a stream keyed by (seed,
 sample_index, address), which makes results independent of evaluation
 order and of how samples are split across workers.  Worker processes
 are forked where the platform allows, so a closure works as a program.
+
+run_inference keys its samples BLOCK at a time: one rng.key_block pass
+computes each sample's key and, for every stream the discovery pass
+saw, the stream's base and first raw draws; both executions of a sample
+read its row.  Any other stream (a branch discovery never took, replay's
+@cf redraws), and the one execution that discover, abduction_sample and
+counterfactual_replay each run, take the scalar keyed_stream path, which
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from .errors import (
     UnobservableProcedureError,
     StaleTraceError,
 )
-from .rng import keyed_stream, sample_key
+from .rng import RandomStream, key_block, keyed_stream, sample_key
 from .trace import (
     INTERVENED,
     LATENT,
@@ -87,6 +95,10 @@ IV = "iv"
 
 NOISE_SUFFIX = "::noise"
 REPLAY_STREAM_SUFFIX = "@cf"
+
+# Samples keyed together by one rng.key_block pass in _run_chunk.
+BLOCK = 128
+_NO_COLUMNS: dict[str, int] = {}
 
 
 @dataclass(slots=True)
@@ -156,6 +168,8 @@ class ExecutionContext:
         "trace",
         "abducted",
         "_key",
+        "_columns",
+        "_starts",
         "_auto",
         "_tainted",
         "_pred_i",
@@ -169,12 +183,15 @@ class ExecutionContext:
         sample_index: int,
         *,
         abducted: Trace | None = None,
+        row: tuple | None = None,
     ):
         self.phase = phase
         self.plan = plan
         self.trace = Trace()
         self.abducted = abducted
-        self._key = sample_key(seed, sample_index)
+        if row is None:
+            row = sample_key(seed, sample_index), _NO_COLUMNS, None
+        self._key, self._columns, self._starts = row  # as KeyBlock.row gives them
         self._auto = 0
         self._tainted: set[Address] = set()
         self._pred_i = 0
@@ -262,8 +279,12 @@ class ExecutionContext:
 
     # -- phase-specific instantiation -------------------------------------
 
-    def _stream(self, addr: Address):
-        return keyed_stream(self._key, addr)
+    def _stream(self, addr: Address) -> RandomStream:
+        """The stream of addr, started from the key block when it holds addr."""
+        j = self._columns.get(addr)
+        if j is None:
+            return keyed_stream(self._key, addr)
+        return RandomStream(*self._starts[j])
 
     def _record(self, addr, value, lp, lq, role, parents, noise=None) -> TraceEntry:
         entry = TraceEntry(addr, value, lp, lq, role, parents, noise)
@@ -516,11 +537,17 @@ def _check_endogeneity(plan: QueryPlan) -> None:
 # -- sampling --------------------------------------------------------------
 
 
-def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int) -> Trace:
-    """One importance sample of the posterior described by the plan."""
-    ctx = ExecutionContext(ABDUCTION, plan, seed, sample_index)
+def _execute(program, plan, phase, seed, sample_index, row, abducted=None) -> Trace:
+    ctx = ExecutionContext(phase, plan, seed, sample_index, abducted=abducted, row=row)
+    if abducted is not None:
+        ctx.trace.accumulate(abducted.log_weight)
     program(ctx)
     return ctx.trace
+
+
+def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int) -> Trace:
+    """One importance sample of the posterior described by the plan."""
+    return _execute(program, plan, ABDUCTION, seed, sample_index, None)
 
 
 def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
@@ -531,10 +558,7 @@ def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
     draws either carry over, are recomputed deterministically, or are
     prior draws whose contribution is exactly zero.
     """
-    ctx = ExecutionContext(REPLAY, plan, seed, sample_index, abducted=trace)
-    ctx.trace.accumulate(trace.log_weight)
-    program(ctx)
-    return ctx.trace
+    return _execute(program, plan, REPLAY, seed, sample_index, None, trace)
 
 
 @dataclass
@@ -550,25 +574,40 @@ class InferenceResult:
     traces: list | None = None
 
 
+def _stream_names(plan: QueryPlan) -> list[str]:
+    """The stream each choice seen in discovery draws from in abduction."""
+    return [
+        addr if fam in PLAIN_FAMILIES else addr + NOISE_SUFFIX
+        for addr, fam in plan.families.items()
+        if fam is not Delta
+    ]
+
+
 def _run_chunk(program, plan, seed, keep_traces, lo, hi):
+    """Run samples lo..hi-1, keying them one BLOCK-aligned block at a time."""
     preds: list[dict[str, Value]] = []
     lws: list[float] = []
     traces = [] if keep_traces else None
     n_rejected = 0
-    for i in range(lo, hi):
-        abd = abduction_sample(program, plan, seed, i)
-        rejected = abd.rejected
-        if rejected:
-            n_rejected += 1
-        merged = dict(abd.predictions)
-        rep = None
-        if plan.needs_replay and not rejected:
-            rep = counterfactual_replay(abd, plan, program, seed, i)
-            merged.update(rep.predictions)
-        preds.append(merged)
-        lws.append(abd.log_weight)
-        if traces is not None:
-            traces.append((abd, rep))
+    names = _stream_names(plan)
+    for start in range(lo - lo % BLOCK, hi, BLOCK):
+        b_lo, b_hi = max(start, lo), min(start + BLOCK, hi)
+        block = key_block(seed, b_lo, b_hi, names)
+        for i in range(b_lo, b_hi):
+            row = block.row(i)
+            abd = _execute(program, plan, ABDUCTION, seed, i, row)
+            rejected = abd.rejected
+            if rejected:
+                n_rejected += 1
+            merged = dict(abd.predictions)
+            rep = None
+            if plan.needs_replay and not rejected:
+                rep = _execute(program, plan, REPLAY, seed, i, row, abd)
+                merged.update(rep.predictions)
+            preds.append(merged)
+            lws.append(abd.log_weight)
+            if traces is not None:
+                traces.append((abd, rep))
     return preds, lws, n_rejected, traces
 
 

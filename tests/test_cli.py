@@ -195,6 +195,23 @@ class TestRun:
             assert list(choices) == ["x", "y::noise", "y"]
             assert choices["y"] == (choices["x"] != choices["y::noise"])
 
+    def test_unwritable_dump_path_exits_one_before_inference(
+        self, two_node_files, tmp_path, capsys, monkeypatch
+    ):
+        model, query = two_node_files
+        dump = str(tmp_path / "missing" / "traces.jsonl")
+
+        def no_inference(*args, **kwargs):
+            raise AssertionError("inference ran before the output was opened")
+
+        monkeypatch.setattr("whatif.cli.run_inference", no_inference)
+        code, out, err = run_cli(
+            ["run", "--model", model, "--query", query, "--dump-traces", dump], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert dump in err
+
     def test_console_script_entry_point(self, two_node_files):
         model, query = two_node_files
         proc = subprocess.run(
@@ -227,6 +244,20 @@ class TestBench:
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
             assert not out.exists()
+
+    def test_unwritable_out_path_exits_one_before_the_study(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = str(tmp_path / "missing" / "bench.csv")
+
+        def no_study(job):
+            raise AssertionError("the study ran before the output was opened")
+
+        monkeypatch.setattr("whatif.cli._bench_model", no_study)
+        code, stdout, err = run_cli(["bench", "--models", "1", "--out", out], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert out in err
 
     def test_csv_shape_and_sorting(self, tmp_path, capsys):
         path, _ = self.bench(tmp_path, capsys)

@@ -1,9 +1,16 @@
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whatif.engine import BLOCK
 from whatif.rng import (
+    PRE_DRAWN,
+    RandomStream,
+    _mix64,
+    _mix64_array,
+    key_block,
     keyed_stream,
     rng_for_address,
     sample_key,
@@ -96,3 +103,42 @@ def test_first_draw_collisions_rare_across_addresses():
         u = rng_for_address(17, 0, f"addr/{i}").uniform()
         buckets.add(int(u * 2**32))
     assert len(buckets) >= 10_000 - 1
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+def test_vectorised_mix_matches_scalar(xs):
+    assert _mix64_array(np.array(xs, dtype=np.uint64)).tolist() == [_mix64(x) for x in xs]
+
+
+_DRAWS = ("uniform", "normal", "uniform_pos", "bernoulli")
+
+
+def _draw_hexes(stream, ops):
+    out = []
+    for op in ops:
+        if op == "bernoulli":
+            out.append(stream.bernoulli(0.3))
+        else:
+            out.append(getattr(stream, op)().hex())
+    return out
+
+
+@given(
+    st.integers(-(2**70), 2**70),
+    st.one_of(st.integers(1, 3 * BLOCK), st.integers(-3, 2**63)),
+    st.integers(0, 5),
+    st.lists(st.text(max_size=12), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(_DRAWS), min_size=6, max_size=10),
+)
+@settings(max_examples=150)
+def test_key_block_matches_the_scalar_path(seed, lo, n, names, ops):
+    # more draws than PRE_DRAWN, so each stream runs past its block raws
+    assert len(ops) > PRE_DRAWN
+    block = key_block(seed, lo, lo + n, names)
+    for i in range(lo, lo + n):
+        key, columns, starts = block.row(i)
+        assert key == sample_key(seed, i)
+        for name in names:
+            blocked = RandomStream(*starts[columns[name]])
+            scalar = keyed_stream(sample_key(seed, i), name)
+            assert _draw_hexes(blocked, ops) == _draw_hexes(scalar, ops)
