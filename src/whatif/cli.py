@@ -14,13 +14,11 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from multiprocessing import get_context
 
 import numpy as np
 
-from .engine import IV, NOISE_SUFFIX, ess, estimate_expectation, run_inference
+from .engine import IV, NOISE_SUFFIX, ess, estimate_expectation, process_pool, run_inference
 from .errors import NoSurvivingSamplesError
 from .oracle import exact_counterfactual, exact_interventional
 from .scm import (
@@ -81,6 +79,10 @@ def _dump_traces(result, fh) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.engine == "exact" and args.dump_traces:
+        print("whatif run: error: argument --dump-traces: not allowed with "
+              "--engine exact, which samples no traces", file=sys.stderr)
+        return 2
     try:
         scm = load_model(args.model)
         query = load_query(args.query)
@@ -98,41 +100,34 @@ def cmd_run(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         estimate = _exact_answer(scm, query)
         wall = time.perf_counter() - t0
-        out = {
-            "estimate": estimate,
-            "ess": 0.0,
-            "n_rejected": 0,
-            "wall_seconds": wall,
-            "n_samples": 0,
-            "seed": args.seed,
-        }
-        print(json.dumps(out))
-        return 0
-
-    with dump or contextlib.nullcontext():
-        result = run_inference(
-            program,
-            args.samples,
-            seed=args.seed,
-            workers=args.workers,
-            keep_traces=dump is not None,
-        )
-        if dump is not None:
-            _dump_traces(result, dump)
-    if result.degenerate:
-        print("degenerate posterior: every sample was rejected", file=sys.stderr)
-        return 2
-    try:
-        estimate = estimate_expectation(result)
-    except NoSurvivingSamplesError as exc:
-        print(f"degenerate posterior: {exc}", file=sys.stderr)
-        return 2
+        ess_value, n_rejected, n_samples = 0.0, 0, 0
+    else:
+        with dump or contextlib.nullcontext():
+            result = run_inference(
+                program,
+                args.samples,
+                seed=args.seed,
+                workers=args.workers,
+                keep_traces=dump is not None,
+            )
+            if dump is not None:
+                _dump_traces(result, dump)
+        if result.degenerate:
+            print("degenerate posterior: every sample was rejected", file=sys.stderr)
+            return 2
+        try:
+            estimate = estimate_expectation(result)
+        except NoSurvivingSamplesError as exc:
+            print(f"degenerate posterior: {exc}", file=sys.stderr)
+            return 2
+        ess_value, n_rejected = ess(result.log_weights), result.n_rejected
+        wall, n_samples = result.wall_seconds, result.n_samples
     out = {
         "estimate": estimate,
-        "ess": ess(result.log_weights),
-        "n_rejected": result.n_rejected,
-        "wall_seconds": result.wall_seconds,
-        "n_samples": result.n_samples,
+        "ess": ess_value,
+        "n_rejected": n_rejected,
+        "wall_seconds": wall,
+        "n_samples": n_samples,
         "seed": args.seed,
     }
     print(json.dumps(out))
@@ -236,9 +231,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[BenchRow] = []
     with out:
         if args.workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=args.workers, mp_context=get_context("fork")
-            ) as pool:
+            with process_pool(args.workers) as pool:
                 for chunk in pool.map(_bench_model, jobs):
                     rows.extend(chunk)
         else:

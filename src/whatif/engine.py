@@ -39,11 +39,11 @@ are forked where the platform allows, so a closure works as a program.
 
 run_inference keys its samples BLOCK at a time: one rng.key_block pass
 computes each sample's key and, for every stream the discovery pass
-saw, the stream's base and first raw draws; both executions of a sample
-read its row.  Any other stream (a branch discovery never took, replay's
-@cf redraws), and the one execution that discover, abduction_sample and
-counterfactual_replay each run, take the scalar keyed_stream path, which
-gives the same bits.
+saw, the stream's base and first raw draws, which both executions of
+the sample start their streams from.  Any other stream (a branch
+discovery never took, replay's @cf redraws), and the one execution that
+discover, abduction_sample and counterfactual_replay each run, take the
+scalar keyed_stream path, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -116,8 +116,12 @@ class QueryPlan:
     predicts: list[tuple[str, bool]] = field(default_factory=list)
     parents: dict[Address, tuple[Address, ...]] = field(default_factory=dict)
     families: dict[Address, type] = field(default_factory=dict)
-    needs_replay: bool = False
     delta_tolerance: float = 0.0
+
+    @property
+    def needs_replay(self) -> bool:
+        """True when a cf intervention calls for a replay execution."""
+        return any(iv.kind == CF for iv in self.interventions.values())
 
 
 Choice = TraceEntry  # a program's handle to a choice is its trace entry
@@ -179,19 +183,19 @@ class ExecutionContext:
         self,
         phase: int,
         plan: QueryPlan,
-        seed: int,
-        sample_index: int,
-        *,
-        abducted: Trace | None = None,
-        row: tuple | None = None,
+        key: int,
+        columns: dict[str, int],
+        starts: list | None,
+        abducted: Trace | None,
     ):
         self.phase = phase
         self.plan = plan
         self.trace = Trace()
         self.abducted = abducted
-        if row is None:
-            row = sample_key(seed, sample_index), _NO_COLUMNS, None
-        self._key, self._columns, self._starts = row  # as KeyBlock.row gives them
+        self._key = key  # the execution's sample_key
+        # starts[columns[name]]: base and pre-drawn raws of stream name (rng.key_block)
+        self._columns = columns
+        self._starts = starts
         self._auto = 0
         self._tainted: set[Address] = set()
         self._pred_i = 0
@@ -219,25 +223,8 @@ class ExecutionContext:
             return self._abduct(addr, spec, parents, proposal)
         return self._replay(addr, spec, parents)
 
-    def normal(
-        self,
-        mean,
-        std,
-        *,
-        name=None,
-        depends_on=(),
-        proposal_mean=None,
-        proposal_std=None,
-    ) -> Choice:
-        prior = Normal(mean, std)
-        if proposal_mean is None and proposal_std is None:
-            proposal = None
-        else:
-            proposal = Normal(
-                mean if proposal_mean is None else proposal_mean,
-                std if proposal_std is None else proposal_std,
-            )
-        return self.sample(prior, name=name, depends_on=depends_on, proposal=proposal)
+    def normal(self, mean, std, *, name=None, depends_on=()) -> Choice:
+        return self.sample(Normal(mean, std), name=name, depends_on=depends_on)
 
     def bernoulli(self, p, *, name=None, depends_on=(), proposal_p=None) -> Choice:
         proposal = None if proposal_p is None else Bernoulli(proposal_p)
@@ -306,11 +293,28 @@ class ExecutionContext:
         noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
+    def _forced(self, addr, parents) -> Choice | None:
+        """The intervened entry of addr if a do forces it in this phase.
+
+        An iv do forces in abduction and replay; a cf do forces only in
+        replay, and there it taints addr.  Discovery forces nothing.
+        """
+        iv = self.plan.interventions.get(addr)
+        if iv is None:
+            return None
+        if iv.kind == CF:
+            if self.phase != REPLAY:
+                return None
+            self._tainted.add(addr)
+        elif self.phase == DISCOVERY:
+            return None
+        return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
+
     def _abduct(self, addr, spec, parents, proposal) -> Choice:
+        forced = self._forced(addr, parents)
+        if forced is not None:
+            return forced
         plan = self.plan
-        iv = plan.interventions.get(addr)
-        if iv is not None and iv.kind == IV:
-            return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
         if addr in plan.observed:
             return self._absorb(addr, spec, parents, plan.observed[addr])
         return self._forward(addr, spec, parents, proposal)
@@ -345,13 +349,11 @@ class ExecutionContext:
         per-execution taint is exact even where control flow differs
         from the discovery execution.
         """
+        forced = self._forced(addr, parents)
+        if forced is not None:
+            return forced
         plan = self.plan
         tainted = self._tainted
-        iv = plan.interventions.get(addr)
-        if iv is not None:
-            if iv.kind == CF:
-                tainted.add(addr)
-            return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
         prev = self.abducted.entries.get(addr)
         if prev is None:
             # Control flow opened by an intervention: no abducted value
@@ -470,12 +472,9 @@ class ExecutionContext:
         got = self.trace.entries.get(name)
         if got is not None:
             return got
-        if self.phase != DISCOVERY:
-            iv = self.plan.interventions.get(name)
-            if iv is not None and (self.phase == REPLAY or iv.kind == IV):
-                if iv.kind == CF:
-                    self._tainted.add(name)
-                return self._record(name, iv.value, 0.0, 0.0, INTERVENED, ())
+        forced = self._forced(name, ())
+        if forced is not None:
+            return forced
         choice = thunk()
         if not isinstance(choice, Choice) or choice.address != name:
             raise EngineError(
@@ -500,8 +499,7 @@ def discover(program, *, seed: int = 0, delta_tolerance: float = 0.0,
              strict_endogeneity: bool = False) -> QueryPlan:
     """Run the discovery pass and return the finalized query plan."""
     plan = QueryPlan(delta_tolerance=delta_tolerance)
-    program(ExecutionContext(DISCOVERY, plan, seed, -1))
-    plan.needs_replay = any(iv.kind == CF for iv in plan.interventions.values())
+    _execute(program, plan, DISCOVERY, sample_key(seed, -1))
     if strict_endogeneity:
         _check_endogeneity(plan)
     return plan
@@ -537,8 +535,9 @@ def _check_endogeneity(plan: QueryPlan) -> None:
 # -- sampling --------------------------------------------------------------
 
 
-def _execute(program, plan, phase, seed, sample_index, row, abducted=None) -> Trace:
-    ctx = ExecutionContext(phase, plan, seed, sample_index, abducted=abducted, row=row)
+def _execute(program, plan, phase, key, columns=_NO_COLUMNS, starts=None,
+             abducted=None) -> Trace:
+    ctx = ExecutionContext(phase, plan, key, columns, starts, abducted)
     if abducted is not None:
         ctx.trace.accumulate(abducted.log_weight)
     program(ctx)
@@ -547,7 +546,7 @@ def _execute(program, plan, phase, seed, sample_index, row, abducted=None) -> Tr
 
 def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int) -> Trace:
     """One importance sample of the posterior described by the plan."""
-    return _execute(program, plan, ABDUCTION, seed, sample_index, None)
+    return _execute(program, plan, ABDUCTION, sample_key(seed, sample_index))
 
 
 def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
@@ -558,7 +557,7 @@ def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
     draws either carry over, are recomputed deterministically, or are
     prior draws whose contribution is exactly zero.
     """
-    return _execute(program, plan, REPLAY, seed, sample_index, None, trace)
+    return _execute(program, plan, REPLAY, sample_key(seed, sample_index), abducted=trace)
 
 
 @dataclass
@@ -590,19 +589,21 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     traces = [] if keep_traces else None
     n_rejected = 0
     names = _stream_names(plan)
+    columns = {name: j for j, name in enumerate(names)}
+    needs_replay = plan.needs_replay
     for start in range(lo - lo % BLOCK, hi, BLOCK):
-        b_lo, b_hi = max(start, lo), min(start + BLOCK, hi)
-        block = key_block(seed, b_lo, b_hi, names)
-        for i in range(b_lo, b_hi):
-            row = block.row(i)
-            abd = _execute(program, plan, ABDUCTION, seed, i, row)
+        keys, table = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
+        for r, key in enumerate(keys):
+            # converted one sample at a time, so a block holds only its numpy table
+            starts = table[r].tolist()
+            abd = _execute(program, plan, ABDUCTION, key, columns, starts)
             rejected = abd.rejected
             if rejected:
                 n_rejected += 1
             merged = dict(abd.predictions)
             rep = None
-            if plan.needs_replay and not rejected:
-                rep = _execute(program, plan, REPLAY, seed, i, row, abd)
+            if needs_replay and not rejected:
+                rep = _execute(program, plan, REPLAY, key, columns, starts, abd)
                 merged.update(rep.predictions)
             preds.append(merged)
             lws.append(abd.log_weight)
@@ -642,14 +643,9 @@ def run_inference(
     else:
         bounds = np.linspace(0, n_samples, min(workers, n_samples) + 1).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
         # A forked worker inherits the job through initargs without
         # pickling it, so closures and lambdas work as programs.
-        with ProcessPoolExecutor(
-            max_workers=len(spans), mp_context=ctx, initializer=_init_worker, initargs=job
-        ) as pool:
+        with process_pool(len(spans), initializer=_init_worker, initargs=job) as pool:
             parts = list(pool.map(_run_span, spans))
     wall = time.perf_counter() - t0
     predictions: list[dict[str, Value]] = []
@@ -673,6 +669,13 @@ def run_inference(
         degenerate=degenerate,
         traces=traces,
     )
+
+
+def process_pool(workers: int, **kwargs) -> ProcessPoolExecutor:
+    """A pool of worker processes, forked where the platform allows it."""
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx, **kwargs)
 
 
 _worker_job = None  # (program, plan, seed, keep_traces), set once per worker

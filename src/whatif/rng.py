@@ -15,11 +15,10 @@ through blake2b so the mapping is stable across processes and platforms
 The engine keys a block of samples at once: key_block computes, in one
 numpy uint64 pass, every sample's key and, for each stream name the
 discovery pass recorded, each sample's stream base and first PRE_DRAWN
-raw draws; KeyBlock.row hands one sample's values out as Python ints.
-numpy's uint64 arithmetic wraps modulo 2^64 exactly like the masked
-Python ints of _mix64, so a stream started from a block row yields the
-same bits as keyed_stream; past its pre-drawn raws it continues at the
-counter.  A name outside the block, or a single execution, takes the
+raw draws.  numpy's uint64 arithmetic wraps modulo 2^64 exactly like the
+masked Python ints of _mix64, so a stream started from the table yields
+the same bits as keyed_stream; past its pre-drawn raws it continues at
+the counter.  A name outside the block, or a single execution, takes the
 scalar path through keyed_stream.
 """
 
@@ -129,36 +128,15 @@ def rng_for_address(seed: int, sample_index: int, address: str) -> RandomStream:
     return keyed_stream(sample_key(seed, sample_index), address)
 
 
-class KeyBlock:
-    """Keys and stream starts for the samples lo..hi-1 of one seed.
+def key_block(seed: int, lo: int, hi: int, names: list[str]) -> tuple[list[int], np.ndarray]:
+    """Key samples lo..hi-1 and start the named streams, in one numpy pass.
 
-    table[r, j] holds, for sample lo + r and the stream named by column
-    j, the stream's base and then its first PRE_DRAWN raw draws.
+    Returns (keys, table): keys[r] == sample_key(seed, lo + r) as a Python
+    int, and table[r, j] (uint64) holds the base of stream names[j] in
+    that execution and then its first PRE_DRAWN raw draws, so
+    RandomStream(*table[r, j].tolist()) draws what keyed_stream(keys[r],
+    names[j]) draws.
     """
-
-    # A plain class: a dataclass would add ~0.7 ms to every import.
-    __slots__ = ("lo", "keys", "columns", "table")
-
-    def __init__(self, lo: int, keys: list[int], columns: dict[str, int], table: np.ndarray):
-        self.lo = lo
-        self.keys = keys
-        self.columns = columns
-        self.table = table  # (samples, streams, 1 + PRE_DRAWN), uint64
-
-    def row(self, sample_index: int) -> tuple[int, dict[str, int], list[list[int]]]:
-        """(key, columns, starts) of one sample, as Python ints.
-
-        key == sample_key(seed, sample_index), and RandomStream(*starts[j])
-        draws exactly what keyed_stream(key, name) draws when
-        columns[name] == j.  Rows are converted one sample at a time, so
-        a block holds only its numpy table.
-        """
-        r = sample_index - self.lo
-        return self.keys[r], self.columns, self.table[r].tolist()
-
-
-def key_block(seed: int, lo: int, hi: int, names: list[str]) -> KeyBlock:
-    """Key samples lo..hi-1 and start the named streams, in one numpy pass."""
     index = np.uint64(lo & _MASK) + np.arange(hi - lo, dtype=np.uint64)
     keys = _mix64_array(np.uint64(_mix64(seed & _MASK)) ^ index)
     addr = np.array([_address_key(a) for a in names], dtype=np.uint64)
@@ -166,5 +144,4 @@ def key_block(seed: int, lo: int, hi: int, names: list[str]) -> KeyBlock:
     # table[r, j, k] = base + k * GAMMA, then mixed into raw k for k >= 1
     table = _mix64_array(keys[:, None] ^ addr)[:, :, None] + steps
     table[:, :, 1:] = _mix64_array(table[:, :, 1:])
-    columns = {name: j for j, name in enumerate(names)}
-    return KeyBlock(lo, keys.tolist(), columns, table)
+    return keys.tolist(), table

@@ -408,19 +408,17 @@ def query_from_json(doc) -> BenchQuery:
     )
 
 
-def load_model(path: str) -> ScmSpec:
+def _read_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"model: {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return scm_from_json(doc)
+            raise ValueError(f"{what}: {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+
+
+def load_model(path: str) -> ScmSpec:
+    return scm_from_json(_read_json(path, "model"))
 
 
 def load_query(path: str) -> BenchQuery:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"query: {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return query_from_json(doc)
+    return query_from_json(_read_json(path, "query"))

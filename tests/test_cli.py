@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 
 import whatif as wi
 from whatif.cli import BenchRow, main, summarize
-from whatif.scm import query_to_json, scm_to_json
+from whatif.oracle import exact_interventional
+from whatif.scm import load_model, query_to_json, scm_to_json
 
 TWO_NODE = {
     "nodes": [
@@ -20,6 +22,7 @@ FLIP_QUERY = {
     "do": {"id": "x", "value": 1, "type": "CF"},
     "predict": "y",
 }
+RUN_KEYS = ["estimate", "ess", "n_rejected", "wall_seconds", "n_samples", "seed"]
 
 
 @pytest.fixture
@@ -89,6 +92,51 @@ class TestRun:
         assert doc["estimate"] == pytest.approx(0.8, abs=1e-12)
         assert doc["n_samples"] == 0
         assert doc["ess"] == 0.0
+
+    def test_exact_interventional_query(self, two_node_files, tmp_path, capsys):
+        model, _ = two_node_files
+        query = tmp_path / "iv.json"
+        query.write_text(json.dumps(
+            {"evidence": {}, "do": {"id": "x", "value": 0, "type": "IV"}, "predict": "y"}
+        ))
+        code, out, _ = run_cli(
+            ["run", "--model", model, "--query", str(query), "--engine", "exact"], capsys
+        )
+        assert code == 0
+        estimate = json.loads(out)["estimate"]
+        assert estimate == exact_interventional(load_model(model), {}, {"x": False}, "y")
+        assert estimate == pytest.approx(0.2, abs=1e-12)  # y = x xor flip, q = 0.2
+
+    def test_output_keys_are_the_same_for_every_engine(self, two_node_files, capsys):
+        model, query = two_node_files
+        for engine in ("exact", "eager", "lazy"):
+            code, out, _ = run_cli(
+                ["run", "--model", model, "--query", query, "--samples", "50",
+                 "--engine", engine],
+                capsys,
+            )
+            assert code == 0
+            assert list(json.loads(out)) == RUN_KEYS
+
+    def test_exact_engine_with_dump_traces_is_a_usage_error(
+        self, two_node_files, tmp_path, capsys, monkeypatch
+    ):
+        model, query = two_node_files
+        dump = tmp_path / "traces.jsonl"
+
+        def no_work(path):
+            raise AssertionError("the model was read before the usage check")
+
+        monkeypatch.setattr("whatif.cli.load_model", no_work)
+        code, out, err = run_cli(
+            ["run", "--model", model, "--query", query, "--engine", "exact",
+             "--dump-traces", str(dump)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--dump-traces" in err
+        assert not dump.exists()
 
     def test_schema_violation_exits_one_and_names_the_node(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -281,6 +329,20 @@ class TestBench:
         a, _ = self.bench(tmp_path, capsys, "serial.csv")
         b, _ = self.bench(tmp_path, capsys, "pooled.csv", extra=("--workers", "2"))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_workers_fork_only_where_the_platform_can(self, tmp_path, capsys, monkeypatch):
+        asked = []
+        real_get_context = multiprocessing.get_context
+
+        def get_context(method=None):
+            asked.append(method)
+            return real_get_context(method)
+
+        # a platform without fork gets its default start method
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        self.bench(tmp_path, capsys, extra=("--workers", "2"))
+        assert asked == [None]
 
     def test_rows_are_consistent(self, tmp_path, capsys):
         path, _ = self.bench(tmp_path, capsys)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import whatif as wi
+from whatif import engine
 from whatif.dists import Normal
 from whatif.engine import (
     BLOCK,
@@ -51,6 +52,19 @@ class TestWeights:
             eps = 1.2342 - (x + z)
             assert abd["Y"].noise == eps
             assert lw == Normal(0, 2).log_density(eps)
+
+    def test_proposal_weight_is_prior_over_proposal(self):
+        def program(ctx):
+            x = ctx.sample(Normal(0, 1), proposal=Normal(1, 1), name="x")
+            ctx.predict(x.value, label="x")
+
+        res = wi.run_inference(program, 300, seed=6, keep_traces=True)
+        xs = []
+        for (abd, _), lw in zip(res.traces, res.log_weights):
+            x = abd["x"].value
+            xs.append(x)
+            assert lw == Normal(0, 1).log_density(x) - Normal(1, 1).log_density(x)
+        assert abs(np.mean(xs) - 1.0) < 0.2  # drawn from the proposal
 
     def test_replay_preserves_weight_bitwise(self):
         res = wi.run_inference(gaussian_program, 500, seed=2, keep_traces=True)
@@ -223,6 +237,30 @@ class TestReplay:
 
 
 class TestStatements:
+    def test_observation_unseen_by_discovery_is_stale(self):
+        def program(ctx):
+            y = ctx.observable_normal(0, 1, name="y")
+            if not ctx.intervening():  # discovery never observes y
+                ctx.observe(y, 1.0)
+
+        plan = discover(program)
+        with pytest.raises(StaleTraceError, match="observation at 'y'"):
+            abduction_sample(program, plan, 0, 0)
+
+    def test_predicts_must_match_discovery(self):
+        def extra(ctx):
+            ctx.predict(1.0, label="p")
+            if not ctx.intervening():
+                ctx.predict(2.0, label="q")
+
+        def relabelled(ctx):
+            ctx.predict(1.0, label="p" if ctx.intervening() else "q")
+
+        with pytest.raises(StaleTraceError, match="not present during discovery"):
+            abduction_sample(extra, discover(extra), 0, 0)
+        with pytest.raises(StaleTraceError, match="label changed"):
+            abduction_sample(relabelled, discover(relabelled), 0, 0)
+
     def test_observe_plain_procedure_rejected(self):
         def program(ctx):
             x = ctx.normal(0, 1, name="x")
@@ -571,6 +609,34 @@ class TestKeyBlocks:
         lws, preds = _one_at_a_time(program, n, seed)
         assert res.log_weights.tobytes() == lws.tobytes()
         assert _reprs(res.predictions) == _reprs(preds)
+
+    def test_block_streams_replace_scalar_keying(self):
+        # digests cannot show which path ran: count scalar stream keyings
+        # after discovery, whose one execution is always scalar
+        def scalar_keyings(program):
+            calls = [0]
+            real_keyed_stream, real_discover = engine.keyed_stream, engine.discover
+
+            def counted(key, address):
+                calls[0] += 1
+                return real_keyed_stream(key, address)
+
+            with pytest.MonkeyPatch.context() as mp:
+                def discover_then_count(*args, **kwargs):
+                    plan = real_discover(*args, **kwargs)
+                    mp.setattr(engine, "keyed_stream", counted)
+                    return plan
+
+                mp.setattr(engine, "discover", discover_then_count)
+                wi.run_inference(program, 2 * BLOCK + 3, seed=21)
+            return calls[0]
+
+        scm, query = generate_case(0, 0, 12)
+        assert scalar_keyings(gaussian_program) == 0
+        for style in ("eager", "lazy"):
+            assert scalar_keyings(build_program(scm, query, style)) == 0
+        # streams discovery never saw fall back to the scalar path
+        assert scalar_keyings(coin_branch_program) > 0
 
     def test_golden_estimates(self):
         # recorded before samples were keyed in blocks

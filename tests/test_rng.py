@@ -134,11 +134,11 @@ def _draw_hexes(stream, ops):
 def test_key_block_matches_the_scalar_path(seed, lo, n, names, ops):
     # more draws than PRE_DRAWN, so each stream runs past its block raws
     assert len(ops) > PRE_DRAWN
-    block = key_block(seed, lo, lo + n, names)
-    for i in range(lo, lo + n):
-        key, columns, starts = block.row(i)
+    keys, table = key_block(seed, lo, lo + n, names)
+    for r, i in enumerate(range(lo, lo + n)):
+        key, starts = keys[r], table[r].tolist()
         assert key == sample_key(seed, i)
-        for name in names:
-            blocked = RandomStream(*starts[columns[name]])
+        for j, name in enumerate(names):
+            blocked = RandomStream(*starts[j])
             scalar = keyed_stream(sample_key(seed, i), name)
             assert _draw_hexes(blocked, ops) == _draw_hexes(scalar, ops)

@@ -37,6 +37,11 @@ class TestTrace:
         e = entry("a", lp=-1.0, lq=-2.5)
         assert entry_contribution(e) == 1.5
 
+    def test_impossible_latent_contributes_minus_inf_not_nan(self):
+        # -inf - -inf is NaN; a draw impossible under the prior rejects
+        e = entry("a", lp=-math.inf, lq=-math.inf)
+        assert entry_contribution(e) == -math.inf
+
     def test_observed_contribution_is_likelihood(self):
         e = entry("a", lp=-0.375, role=OBSERVED)
         assert entry_contribution(e) == -0.375
