@@ -229,9 +229,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         (i, args.seed, args.blocks, args.samples, timing) for i in range(args.models)
     ]
     rows: list[BenchRow] = []
+    workers = min(args.workers, args.models)
     with out:
-        if args.workers > 1:
-            with process_pool(args.workers) as pool:
+        if workers > 1:
+            with process_pool(workers) as pool:
                 for chunk in pool.map(_bench_model, jobs):
                     rows.extend(chunk)
         else:
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--query", required=True, help="query JSON path")
     run.add_argument("--samples", type=_at_least(1), default=1000)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=_at_least(1), default=1)
     run.add_argument(
         "--engine", choices=("eager", "lazy", "exact"), default="eager"
     )
@@ -285,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("bench", help="random-model convergence study")
-    bench.add_argument("--models", type=int, default=50)
+    bench.add_argument("--models", type=_at_least(1), default=50)
     # the first two nodes are never targets, so smaller graphs are all degenerate
     bench.add_argument("--blocks", type=_at_least(3), default=12)
     bench.add_argument("--samples", type=_sample_budgets, default="100,1000,5000")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=_at_least(1), default=1)
     bench.add_argument("--out", required=True, help="output CSV path")
     bench.add_argument(
         "--no-timing",

@@ -213,7 +213,7 @@ class ExecutionContext:
             self._auto += 1
         else:
             addr = name
-        parents = tuple(c.address for c in depends_on)
+        parents = tuple([c.address for c in depends_on]) if depends_on else ()
         phase = self.phase
         if phase == DISCOVERY:
             self.plan.parents[addr] = parents
@@ -226,11 +226,8 @@ class ExecutionContext:
     def normal(self, mean, std, *, name=None, depends_on=()) -> Choice:
         return self.sample(Normal(mean, std), name=name, depends_on=depends_on)
 
-    def bernoulli(self, p, *, name=None, depends_on=(), proposal_p=None) -> Choice:
-        proposal = None if proposal_p is None else Bernoulli(proposal_p)
-        return self.sample(
-            Bernoulli(p), name=name, depends_on=depends_on, proposal=proposal
-        )
+    def bernoulli(self, p, *, name=None, depends_on=()) -> Choice:
+        return self.sample(Bernoulli(p), name=name, depends_on=depends_on)
 
     def uniform(self, lo, hi, *, name=None, depends_on=()) -> Choice:
         return self.sample(Uniform(lo, hi), name=name, depends_on=depends_on)
@@ -288,9 +285,11 @@ class ExecutionContext:
         if fam is Delta:
             return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
         if fam in PLAIN_FAMILIES:
-            value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
+            stream = self._stream(addr + suffix if suffix else addr)
+            value, lp, lq = sample_and_score(spec, stream, proposal)
             return self._record(addr, value, lp, lq, LATENT, parents)
-        noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
+        name = addr + NOISE_SUFFIX
+        noise = spec.sample_noise(self._stream(name + suffix if suffix else name))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
     def _forced(self, addr, parents) -> Choice | None:
@@ -311,10 +310,11 @@ class ExecutionContext:
         return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
 
     def _abduct(self, addr, spec, parents, proposal) -> Choice:
-        forced = self._forced(addr, parents)
-        if forced is not None:
-            return forced
         plan = self.plan
+        if addr in plan.interventions:
+            forced = self._forced(addr, parents)
+            if forced is not None:
+                return forced
         if addr in plan.observed:
             return self._absorb(addr, spec, parents, plan.observed[addr])
         return self._forward(addr, spec, parents, proposal)
@@ -349,10 +349,11 @@ class ExecutionContext:
         per-execution taint is exact even where control flow differs
         from the discovery execution.
         """
-        forced = self._forced(addr, parents)
-        if forced is not None:
-            return forced
         plan = self.plan
+        if addr in plan.interventions:
+            forced = self._forced(addr, parents)
+            if forced is not None:
+                return forced
         tainted = self._tainted
         prev = self.abducted.entries.get(addr)
         if prev is None:
@@ -472,9 +473,10 @@ class ExecutionContext:
         got = self.trace.entries.get(name)
         if got is not None:
             return got
-        forced = self._forced(name, ())
-        if forced is not None:
-            return forced
+        if name in self.plan.interventions:
+            forced = self._forced(name, ())
+            if forced is not None:
+                return forced
         choice = thunk()
         if not isinstance(choice, Choice) or choice.address != name:
             raise EngineError(

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 
+from .dists import Bernoulli, ObservableBernoulli
 from .engine import descendant_closure
 from .errors import DegenerateGraphError
 
@@ -221,62 +222,74 @@ def generate_case(base_seed: int, index: int, n_blocks: int) -> tuple[ScmSpec, B
 # -- programs --------------------------------------------------------------
 
 
-def _node_choice(ctx, node: ScmNode, evidence: dict[str, bool], parent_choices):
-    """Instantiate one node; eager and lazy programs both build it here.
+def _node_specs(node: ScmNode, evidence: dict[str, bool]):
+    """One node's specs, built once per program.
 
-    Observing a root is conditioning-by-proposal on the node itself, so a
-    root under evidence gets a pinned proposal rather than an observe; the
-    importance weight is the same log-mass either way.
+    A root gets (prior, proposal): observing a root is conditioning by a
+    pinned proposal rather than an observe, with the same importance
+    weight.  A dependent node gets its family at f = False and f = True.
     """
     if node.kind == PRIOR:
         ev = evidence.get(node.id)
-        return ctx.bernoulli(
-            node.p, name=node.id, proposal_p=None if ev is None else (1.0 if ev else 0.0)
-        )
+        return Bernoulli(node.p), None if ev is None else Bernoulli(1.0 if ev else 0.0)
+    return ObservableBernoulli(False, node.q), ObservableBernoulli(True, node.q)
+
+
+def _node_choice(ctx, node: ScmNode, specs, parent_choices):
+    """Instantiate one node; eager and lazy programs both build it here."""
+    if node.kind == PRIOR:
+        prior, proposal = specs
+        return ctx.sample(prior, name=node.id, proposal=proposal)
     f_val = linear_threshold(node.theta, [c.value for c in parent_choices])
-    return ctx.observable_bernoulli(f_val, node.q, name=node.id, depends_on=parent_choices)
+    return ctx.sample(specs[f_val], name=node.id, depends_on=parent_choices)
 
 
-def _eager_program(ctx, scm: ScmSpec, query: BenchQuery):
+def _eager_program(ctx, nodes, query: BenchQuery):
     """Every node instantiated in topological order, then the statements."""
-    evidence = query.evidence
     choices = {}
-    for node in scm.nodes:
-        pars = [choices[p] for p in node.parents]
-        choices[node.id] = _node_choice(ctx, node, evidence, pars)
-    for nid, val in evidence.items():
-        if scm.node(nid).kind == DEPENDENT:
+    for nid, (node, specs) in nodes.items():
+        choices[nid] = _node_choice(ctx, node, specs, [choices[p] for p in node.parents])
+    for nid, val in query.evidence.items():
+        if nodes[nid][0].kind == DEPENDENT:
             ctx.observe(choices[nid], val)
     d, d_value = query.intervention
     ctx.do(choices[d], d_value, kind=query.kind)
     ctx.predict(choices[query.target].value, label=query.target, counterfactual=True)
 
 
-def _lazy_program(ctx, scm: ScmSpec, query: BenchQuery):
-    """Only ancestors of the statements actually issued get evaluated."""
-    evidence = query.evidence
+def _lazy_compute(ctx, nodes, nid: str):
+    got = ctx.trace.entries.get(nid)  # memo first: a hit builds no thunk
+    if got is not None:
+        return got
+    return ctx.value_if_needed(nid, partial(_lazy_thunk, ctx, nodes, nid))
 
-    def thunk(nid):
-        node = scm.node(nid)
-        return _node_choice(ctx, node, evidence, [compute(p) for p in node.parents])
 
-    def compute(nid):
-        got = ctx.trace.entries.get(nid)  # memo first: a hit builds no thunk
-        return got if got is not None else ctx.value_if_needed(nid, partial(thunk, nid))
+def _lazy_thunk(ctx, nodes, nid: str):
+    node, specs = nodes[nid]
+    parents = [_lazy_compute(ctx, nodes, p) for p in node.parents]
+    return _node_choice(ctx, node, specs, parents)
 
+
+def _lazy_program(ctx, nodes, query: BenchQuery):
+    """Only ancestors of the statements actually issued get evaluated.
+
+    Its helpers take ctx as an argument: closures over ctx that captured
+    each other would leave every execution to the cyclic collector.
+    """
     if ctx.observing():
-        for nid, val in evidence.items():
-            choice = compute(nid)
-            if scm.node(nid).kind == DEPENDENT:
+        for nid, val in query.evidence.items():
+            choice = _lazy_compute(ctx, nodes, nid)
+            if nodes[nid][0].kind == DEPENDENT:
                 ctx.observe(choice, val)
     if ctx.intervening():
         d, d_value = query.intervention
-        ctx.do(compute(d), d_value, kind=query.kind)
-    ctx.predict(compute(query.target).value, label=query.target, counterfactual=True)
+        ctx.do(_lazy_compute(ctx, nodes, d), d_value, kind=query.kind)
+    target = _lazy_compute(ctx, nodes, query.target)
+    ctx.predict(target.value, label=query.target, counterfactual=True)
 
 
 def build_program(scm: ScmSpec, query: BenchQuery, style: str = "eager"):
-    """Picklable program closure for one (model, query) pair."""
+    """Picklable program for one (model, query) pair; builds every spec it samples."""
     if query.intervention[0] not in scm:
         raise ValueError(f"query: intervention node {query.intervention[0]!r} unknown")
     if query.target not in scm:
@@ -284,11 +297,11 @@ def build_program(scm: ScmSpec, query: BenchQuery, style: str = "eager"):
     for nid in query.evidence:
         if nid not in scm:
             raise ValueError(f"query: evidence node {nid!r} unknown")
-    if style == "eager":
-        return partial(_eager_program, scm=scm, query=query)
-    if style == "lazy":
-        return partial(_lazy_program, scm=scm, query=query)
-    raise ValueError(f"style must be 'eager' or 'lazy', got {style!r}")
+    if style not in ("eager", "lazy"):
+        raise ValueError(f"style must be 'eager' or 'lazy', got {style!r}")
+    nodes = {node.id: (node, _node_specs(node, query.evidence)) for node in scm.nodes}
+    body = _eager_program if style == "eager" else _lazy_program
+    return partial(body, nodes=nodes, query=query)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -172,11 +172,12 @@ class TestRun:
 
     def test_non_positive_samples_is_a_usage_error(self, two_node_files, capsys):
         model, query = two_node_files
-        for samples in ("0", "-3"):
+        for flag, value in (("--samples", "0"), ("--samples", "-3"),
+                            ("--workers", "0"), ("--workers", "-4")):
             with pytest.raises(SystemExit) as exc:
-                main(["run", "--model", model, "--query", query, "--samples", samples])
+                main(["run", "--model", model, "--query", query, flag, value])
             assert exc.value.code == 2
-            assert "--samples" in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
 
     def test_invalid_json_exits_one_with_line(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -286,7 +287,10 @@ class TestBench:
     def test_bad_budget_or_block_count_is_a_usage_error(self, tmp_path, capsys):
         # two blocks used to redraw degenerate graphs forever
         out = tmp_path / "bench.csv"
-        for flag, value in (("--samples", "100,0"), ("--blocks", "2")):
+        # --models 0 used to exit 0 with a header-only CSV
+        for flag, value in (("--samples", "100,0"), ("--blocks", "2"),
+                            ("--models", "0"), ("--models", "-2"),
+                            ("--workers", "0"), ("--workers", "-4")):
             with pytest.raises(SystemExit) as exc:
                 main(["bench", "--models", "1", flag, value, "--out", str(out)])
             assert exc.value.code == 2
@@ -343,6 +347,24 @@ class TestBench:
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
         self.bench(tmp_path, capsys, extra=("--workers", "2"))
         assert asked == [None]
+
+    def test_pool_is_capped_at_one_worker_per_model(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        def process_pool(workers, **kwargs):
+            sizes.append(workers)
+            return wi.engine.process_pool(workers, **kwargs)
+
+        monkeypatch.setattr("whatif.cli.process_pool", process_pool)
+        self.bench(tmp_path, capsys, extra=("--workers", "5"))  # 3 models
+        assert sizes == [3]
+        code, _, _ = run_cli(
+            ["bench", "--models", "1", "--blocks", "4", "--samples", "10",
+             "--workers", "3", "--out", str(tmp_path / "one.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert sizes == [3]  # one model runs serially, with no pool
 
     def test_rows_are_consistent(self, tmp_path, capsys):
         path, _ = self.bench(tmp_path, capsys)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -653,6 +654,23 @@ class TestKeyBlocks:
             assert pins(build_program(scm, query, style), 600) == (
                 "0x1.1379197a39a14p-1", "-0x1.d03bf6914a05cp+9"
             )
+
+
+@pytest.mark.parametrize("style", ["eager", "lazy", None])
+def test_executions_leave_no_cyclic_garbage(style):
+    # a reference cycle through an execution's context would keep every
+    # context and trace alive until the cyclic collector runs
+    if style is None:
+        program = gaussian_program
+    else:
+        program = build_program(*generate_case(0, 0, 12), style)
+    gc.collect()
+    gc.disable()
+    try:
+        wi.run_inference(program, 2 * BLOCK + 3, seed=21)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestEndogeneityChecks:

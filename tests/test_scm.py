@@ -232,6 +232,22 @@ class TestPrograms:
         rl = wi.run_inference(wi.build_program(scm, query, "lazy"), 2000, seed=4)
         assert wi.estimate_expectation(re_) == wi.estimate_expectation(rl)
 
+    @pytest.mark.parametrize("style", ["eager", "lazy"])
+    def test_no_spec_is_built_per_choice(self, style, monkeypatch):
+        scm, query = wi.generate_case(0, 0, 12)
+        program = wi.build_program(scm, query, style)
+        built = []
+        for family in (wi.Bernoulli, wi.ObservableBernoulli):
+            real = family.__post_init__
+
+            def counted(spec, real=real):
+                built.append(spec)
+                real(spec)
+
+            monkeypatch.setattr(family, "__post_init__", counted)
+        wi.run_inference(program, 300, seed=2)
+        assert built == []
+
     def test_unknown_query_nodes_rejected(self):
         scm, query = self.scm_and_query()
         query.target = "nope"
