@@ -14,16 +14,17 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .engine import IV, NOISE_SUFFIX, ess, estimate_expectation, process_pool, run_inference
-from .errors import NoSurvivingSamplesError
+from .errors import ImpossibleEvidenceError
 from .oracle import exact_counterfactual, exact_interventional
 from .scm import (
     BenchQuery,
     build_program,
+    check_query,
     derive_seed,
     generate_case,
     load_model,
@@ -48,12 +49,36 @@ class BenchRow:
 BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
-def _exact_answer(scm, query: BenchQuery) -> float:
-    evidence = dict(query.evidence)
-    d, d_value = query.intervention
-    if query.kind == IV:
-        return exact_interventional(scm, evidence, {d: d_value}, query.target)
-    return exact_counterfactual(scm, evidence, {d: d_value}, query.target)
+def _answer(scm, query: BenchQuery, engine: str, n: int, seed: int,
+            workers: int = 1, keep_traces: bool = False):
+    """Answer one query with one engine: (answer, traces).
+
+    answer holds the `whatif run` keys from estimate to n_samples; its
+    estimate is None on a degenerate posterior (evidence of probability
+    zero for the exact engine, every sample rejected for a sampled one).
+    traces are the kept sample traces, or None.
+    """
+    if engine == "exact":
+        d, d_value = query.intervention
+        exact = exact_interventional if query.kind == IV else exact_counterfactual
+        t0 = time.perf_counter()
+        try:
+            estimate = exact(scm, dict(query.evidence), {d: d_value}, query.target)
+        except ImpossibleEvidenceError:
+            estimate = None
+        wall = time.perf_counter() - t0
+        return {"estimate": estimate, "ess": 0.0, "n_rejected": 0,
+                "wall_seconds": wall, "n_samples": 0}, None
+    program = build_program(scm, query, style=engine)
+    result = run_inference(program, n, seed=seed, workers=workers, keep_traces=keep_traces)
+    answer = {
+        "estimate": None if result.degenerate else estimate_expectation(result),
+        "ess": ess(result.log_weights),
+        "n_rejected": result.n_rejected,
+        "wall_seconds": result.wall_seconds,
+        "n_samples": result.n_samples,
+    }
+    return answer, result.traces
 
 
 def _choices(trace) -> dict:
@@ -66,8 +91,8 @@ def _choices(trace) -> dict:
     return out
 
 
-def _dump_traces(result, fh) -> None:
-    for i, (abducted, replay) in enumerate(result.traces):
+def _dump_traces(traces, fh) -> None:
+    for i, (abducted, replay) in enumerate(traces):
         record = {
             "sample_index": i,
             "log_weight": abducted.log_weight,
@@ -86,105 +111,50 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         scm = load_model(args.model)
         query = load_query(args.query)
-        program = dump = None
-        if args.engine != "exact":
-            program = build_program(scm, query, style=args.engine)
-            # Opened before inference, so a bad path fails before any work.
-            if args.dump_traces:
-                dump = open(args.dump_traces, "w", encoding="utf-8")
+        check_query(scm, query)
+        # Opened before inference, so a bad path fails before any work.
+        dump = open(args.dump_traces, "w", encoding="utf-8") if args.dump_traces else None
     except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
-    if args.engine == "exact":
-        t0 = time.perf_counter()
-        estimate = _exact_answer(scm, query)
-        wall = time.perf_counter() - t0
-        ess_value, n_rejected, n_samples = 0.0, 0, 0
-    else:
-        with dump or contextlib.nullcontext():
-            result = run_inference(
-                program,
-                args.samples,
-                seed=args.seed,
-                workers=args.workers,
-                keep_traces=dump is not None,
-            )
-            if dump is not None:
-                _dump_traces(result, dump)
-        if result.degenerate:
-            print("degenerate posterior: every sample was rejected", file=sys.stderr)
-            return 2
-        try:
-            estimate = estimate_expectation(result)
-        except NoSurvivingSamplesError as exc:
-            print(f"degenerate posterior: {exc}", file=sys.stderr)
-            return 2
-        ess_value, n_rejected = ess(result.log_weights), result.n_rejected
-        wall, n_samples = result.wall_seconds, result.n_samples
-    out = {
-        "estimate": estimate,
-        "ess": ess_value,
-        "n_rejected": n_rejected,
-        "wall_seconds": wall,
-        "n_samples": n_samples,
-        "seed": args.seed,
-    }
-    print(json.dumps(out))
+    with dump or contextlib.nullcontext():
+        answer, traces = _answer(scm, query, args.engine, args.samples, args.seed,
+                                 args.workers, keep_traces=dump is not None)
+        if dump is not None:
+            _dump_traces(traces, dump)
+    if answer["estimate"] is None:
+        print(f"degenerate posterior: the evidence {query.evidence} has zero weight",
+              file=sys.stderr)
+        return 2
+    print(json.dumps({**answer, "seed": args.seed}))
     return 0
 
 
 def _bench_model(job) -> list[BenchRow]:
     index, base_seed, n_blocks, budgets, timing = job
     scm, query = generate_case(base_seed, index, n_blocks)
-    model_id = f"m{index:03d}"
-    t0 = time.perf_counter()
-    exact_value = _exact_answer(scm, query)
-    exact_wall = time.perf_counter() - t0
-
-    rows = [
-        BenchRow(
-            model_id=model_id,
-            n_samples=0,
-            engine="exact",
-            estimate=exact_value,
-            exact_value=exact_value,
-            abs_error=0.0,
-            ess=0.0,
-            n_rejected=0,
-            wall_seconds=exact_wall if timing else 0.0,
-            seed=base_seed,
-        )
-    ]
-    for style in ("eager", "lazy"):
-        program = build_program(scm, query, style=style)
-        for n in budgets:
-            run_seed = derive_seed(base_seed, index, n)
-            result = run_inference(program, n, seed=run_seed)
-            estimate = estimate_expectation(result)
-            rows.append(
-                BenchRow(
-                    model_id=model_id,
-                    n_samples=n,
-                    engine=style,
-                    estimate=estimate,
-                    exact_value=exact_value,
-                    abs_error=abs(estimate - exact_value),
-                    ess=ess(result.log_weights),
-                    n_rejected=result.n_rejected,
-                    wall_seconds=result.wall_seconds if timing else 0.0,
-                    seed=run_seed,
-                )
+    runs = [("exact", 0, base_seed)]
+    runs += [(style, n, derive_seed(base_seed, index, n))
+             for style in ("eager", "lazy") for n in budgets]
+    rows = []
+    for engine, n, seed in runs:
+        answer, _ = _answer(scm, query, engine, n, seed)
+        if engine == "exact":
+            exact_value = answer["estimate"]
+        if not timing:
+            answer["wall_seconds"] = 0.0
+        rows.append(
+            BenchRow(
+                model_id=f"m{index:03d}",
+                engine=engine,
+                exact_value=exact_value,
+                abs_error=abs(answer["estimate"] - exact_value),
+                seed=seed,
+                **answer,
             )
+        )
     return rows
-
-
-def _row_cells(row: BenchRow) -> list[str]:
-    cells = []
-    for name in BENCH_COLUMNS:
-        v = getattr(row, name)
-        cells.append(repr(v) if isinstance(v, float) else str(v))
-    return cells
 
 
 def write_bench_csv(rows: list[BenchRow], fh) -> None:
@@ -192,7 +162,7 @@ def write_bench_csv(rows: list[BenchRow], fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for row in ordered:
-        writer.writerow(_row_cells(row))
+        writer.writerow(astuple(row))
 
 
 def summarize(rows: list[BenchRow]) -> list[tuple[str, int, float, float, float]]:

@@ -306,14 +306,3 @@ def sample_and_score(spec, stream: RandomStream, proposal=None):
         )
     value = proposal.sample(stream)
     return value, spec.log_density(value), proposal.log_density(value)
-
-
-def noisy_or_false_prob(
-    lambda0: float, lambdas: tuple[float, ...], parent_states: tuple[bool, ...]
-) -> float:
-    """P(output = False): no activation among the leak and active parents."""
-    prob = lambda0
-    for lam, state in zip(lambdas, parent_states):
-        if state:
-            prob *= lam
-    return prob

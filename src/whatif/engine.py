@@ -86,8 +86,6 @@ from .trace import (
     Value,
 )
 
-_NEG_INF = float("-inf")
-
 DISCOVERY, ABDUCTION, REPLAY = 0, 1, 2
 
 CF = "cf"
@@ -116,7 +114,6 @@ class QueryPlan:
     predicts: list[tuple[str, bool]] = field(default_factory=list)
     parents: dict[Address, tuple[Address, ...]] = field(default_factory=dict)
     families: dict[Address, type] = field(default_factory=dict)
-    delta_tolerance: float = 0.0
 
     @property
     def needs_replay(self) -> bool:
@@ -144,18 +141,6 @@ def descendant_closure(
                 out.add(c)
                 frontier.append(c)
     return frozenset(out)
-
-
-def _delta_match(computed, observed, tol: float) -> bool:
-    if (
-        tol > 0.0
-        and isinstance(computed, (int, float))
-        and isinstance(observed, (int, float))
-        and not isinstance(computed, bool)
-        and not isinstance(observed, bool)
-    ):
-        return abs(computed - observed) <= tol
-    return computed == observed
 
 
 class ExecutionContext:
@@ -328,8 +313,7 @@ class ExecutionContext:
         """
         fam = type(spec)
         if fam is Delta:
-            matched = _delta_match(spec.value, observed, self.plan.delta_tolerance)
-            loglik = 0.0 if matched else _NEG_INF
+            loglik = spec.log_density(observed)
             return self._record(addr, spec.value, loglik, 0.0, OBSERVED, parents)
         if fam not in OBSERVABLE_FAMILIES:
             raise UnobservableProcedureError(
@@ -497,10 +481,9 @@ class ExecutionContext:
 # -- plan construction -----------------------------------------------------
 
 
-def discover(program, *, seed: int = 0, delta_tolerance: float = 0.0,
-             strict_endogeneity: bool = False) -> QueryPlan:
+def discover(program, *, seed: int = 0, strict_endogeneity: bool = False) -> QueryPlan:
     """Run the discovery pass and return the finalized query plan."""
-    plan = QueryPlan(delta_tolerance=delta_tolerance)
+    plan = QueryPlan()
     _execute(program, plan, DISCOVERY, sample_key(seed, -1))
     if strict_endogeneity:
         _check_endogeneity(plan)
@@ -620,7 +603,6 @@ def run_inference(
     *,
     seed: int = 0,
     workers: int = 1,
-    delta_tolerance: float = 0.0,
     keep_traces: bool = False,
     strict_endogeneity: bool = False,
 ) -> InferenceResult:
@@ -632,12 +614,7 @@ def run_inference(
     retained with zero normalized weight; if every sample is rejected
     the result is flagged degenerate.
     """
-    plan = discover(
-        program,
-        seed=seed,
-        delta_tolerance=delta_tolerance,
-        strict_endogeneity=strict_endogeneity,
-    )
+    plan = discover(program, seed=seed, strict_endogeneity=strict_endogeneity)
     job = (program, plan, seed, keep_traces)
     t0 = time.perf_counter()
     if workers <= 1 or n_samples < 2:

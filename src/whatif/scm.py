@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .dists import Bernoulli, ObservableBernoulli
-from .engine import descendant_closure
+from .engine import IV, descendant_closure
 from .errors import DegenerateGraphError
 
 PRIOR = "prior"
@@ -288,15 +288,27 @@ def _lazy_program(ctx, nodes, query: BenchQuery):
     ctx.predict(target.value, label=query.target, counterfactual=True)
 
 
-def build_program(scm: ScmSpec, query: BenchQuery, style: str = "eager"):
-    """Picklable program for one (model, query) pair; builds every spec it samples."""
-    if query.intervention[0] not in scm:
-        raise ValueError(f"query: intervention node {query.intervention[0]!r} unknown")
+def check_query(scm: ScmSpec, query: BenchQuery) -> None:
+    """Raise ValueError, naming the node, for a query no engine accepts.
+
+    Every node must exist, and an iv do may not force an evidence node:
+    evidence on a surgically forced value has no effect.
+    """
+    d = query.intervention[0]
+    if d not in scm:
+        raise ValueError(f"query: intervention node {d!r} unknown")
     if query.target not in scm:
         raise ValueError(f"query: predict node {query.target!r} unknown")
     for nid in query.evidence:
         if nid not in scm:
             raise ValueError(f"query: evidence node {nid!r} unknown")
+    if query.kind == IV and d in query.evidence:
+        raise ValueError(f"query: cannot iv-intervene evidence node {d!r}")
+
+
+def build_program(scm: ScmSpec, query: BenchQuery, style: str = "eager"):
+    """Picklable program for one (model, query) pair; builds every spec it samples."""
+    check_query(scm, query)
     if style not in ("eager", "lazy"):
         raise ValueError(f"style must be 'eager' or 'lazy', got {style!r}")
     nodes = {node.id: (node, _node_specs(node, query.evidence)) for node in scm.nodes}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import subprocess
@@ -23,6 +24,26 @@ FLIP_QUERY = {
     "predict": "y",
 }
 RUN_KEYS = ["estimate", "ess", "n_rejected", "wall_seconds", "n_samples", "seed"]
+# Queries every engine must turn down with the same exit code and a one-line
+# message naming the node: (p of root x, query, exit code, node).
+REFUSED = {
+    "unknown do node": (
+        0.5, {**FLIP_QUERY, "do": {"id": "zzz", "value": 1, "type": "CF"}}, 1, "zzz"
+    ),
+    "unknown target": (0.5, {**FLIP_QUERY, "predict": "zzz"}, 1, "zzz"),
+    "unknown evidence node": (0.5, {**FLIP_QUERY, "evidence": {"zzz": 1}}, 1, "zzz"),
+    "impossible root evidence": (0.0, {**FLIP_QUERY, "evidence": {"x": 1}}, 2, "x"),
+    "iv do on dependent evidence": (
+        0.5, {**FLIP_QUERY, "do": {"id": "y", "value": 1, "type": "IV"}}, 1, "y"
+    ),
+    # the pinned root proposal used to slip past the iv force: estimate 0.23
+    "iv do on root evidence": (
+        0.5,
+        {"evidence": {"x": 1}, "do": {"id": "x", "value": 0, "type": "IV"}, "predict": "y"},
+        1,
+        "x",
+    ),
+}
 
 
 @pytest.fixture
@@ -272,6 +293,25 @@ class TestRun:
         assert proc.returncode == 0
         assert "estimate" in json.loads(proc.stdout)
 
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_every_engine_refuses_alike(self, case, tmp_path, capsys):
+        p_x, query_doc, want, node = REFUSED[case]
+        model = tmp_path / "model.json"
+        query = tmp_path / "query.json"
+        model.write_text(json.dumps(
+            {"nodes": [{**TWO_NODE["nodes"][0], "p": p_x}, TWO_NODE["nodes"][1]]}
+        ))
+        query.write_text(json.dumps(query_doc))
+        for engine in ("exact", "eager", "lazy"):
+            code, out, err = run_cli(
+                ["run", "--model", str(model), "--query", str(query),
+                 "--samples", "50", "--engine", engine],
+                capsys,
+            )
+            assert (engine, code, out) == (engine, want, "")
+            assert len(err.splitlines()) == 1, err
+            assert repr(node) in err and "Traceback" not in err
+
 
 class TestBench:
     def bench(self, tmp_path, capsys, name="bench.csv", extra=()):
@@ -393,3 +433,60 @@ class TestBench:
         for engine, n, mean, p10, p90 in summary:
             assert p10 <= mean <= p90 or p10 <= p90  # percentiles ordered
             assert f"{engine} n={n}" in stdout
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Bits of the command line's output, pinned so a refactor cannot move them."""
+
+    def test_bench_csv_and_summary(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, stdout, _ = run_cli(
+            ["bench", "--models", "4", "--blocks", "8", "--samples", "50,200",
+             "--seed", "0", "--no-timing", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert sha256(out.read_bytes()) == (
+            "79f18efa0e202620d5914dbbf70e6d4196c991c97d6fe8d632466ff9e0494e2c"
+        )
+        assert sha256(stdout.encode()) == (
+            "35dc1bf9dfb8a3bf2d482eb30649992d86c79444f4a3237bacbe8aa33361a4c1"
+        )
+
+    @pytest.mark.parametrize("engine, estimate, ess, n_samples", [
+        ("exact", 0.8, 0.0, 0),
+        ("eager", 0.8155339805825242, 149.42253521126761, 200),
+        ("lazy", 0.8155339805825242, 149.42253521126761, 200),
+    ])
+    def test_run_json(self, engine, estimate, ess, n_samples, two_node_files, capsys):
+        model, query = two_node_files
+        code, out, _ = run_cli(
+            ["run", "--model", model, "--query", query, "--samples", "200",
+             "--seed", "1", "--engine", engine],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        del doc["wall_seconds"]
+        assert list(doc.items()) == [
+            ("estimate", estimate), ("ess", ess), ("n_rejected", 0),
+            ("n_samples", n_samples), ("seed", 1),
+        ]
+
+    @pytest.mark.parametrize("engine", ["eager", "lazy"])
+    def test_dump_traces(self, engine, two_node_files, tmp_path, capsys):
+        model, query = two_node_files
+        dump = tmp_path / "traces.jsonl"
+        code, _, _ = run_cli(
+            ["run", "--model", model, "--query", query, "--samples", "20",
+             "--seed", "1", "--engine", engine, "--dump-traces", str(dump)],
+            capsys,
+        )
+        assert code == 0
+        assert sha256(dump.read_bytes()) == (
+            "7235f62dc99bb3834ddef7063e53ef414a087e3e5ca46fcfd7efc48f2b3143e6"
+        )

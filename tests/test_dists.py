@@ -14,7 +14,6 @@ from whatif.dists import (
     ObservableNoisyOr,
     ObservableNormal,
     Uniform,
-    noisy_or_false_prob,
     sample_and_score,
 )
 from whatif.rng import rng_for_address
@@ -153,6 +152,15 @@ class TestObservableBernoulli:
         s = stream("flip")
         hits = sum(spec.output(spec.sample_noise(s)) for _ in range(50_000))
         assert abs(hits / 50_000 - 0.2) < 0.01
+
+
+def noisy_or_false_prob(lambda0, lambdas, parent_states):
+    """P(output = False): no activation among the leak and active parents."""
+    prob = lambda0
+    for lam, state in zip(lambdas, parent_states):
+        if state:
+            prob *= lam
+    return prob
 
 
 class TestNoisyOr:
