@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import IV, NOISE_SUFFIX, ess, estimate_expectation, process_pool, run_inference
 from .errors import ImpossibleEvidenceError
-from .oracle import exact_counterfactual, exact_interventional
+from .oracle import MAX_NODES, check_bound, exact_counterfactual, exact_interventional
 from .scm import (
     BenchQuery,
     build_program,
@@ -112,6 +112,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         scm = load_model(args.model)
         query = load_query(args.query)
         check_query(scm, query)
+        if args.engine == "exact":
+            check_bound(scm)
         # Opened before inference, so a bad path fails before any work.
         dump = open(args.dump_traces, "w", encoding="utf-8") if args.dump_traces else None
     except (OSError, ValueError) as exc:
@@ -232,6 +234,17 @@ def _at_least(low: int):
     return parse
 
 
+def _block_count(text: str) -> int:
+    """argparse type for --blocks: at least 3, as the first two nodes are never
+    targets, and at most the exact engine's bound, as every model gets an exact answer."""
+    n = _at_least(3)(text)
+    if n > MAX_NODES:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_NODES}, the exact engine's node bound, got {text!r}"
+        )
+    return n
+
+
 def _sample_budgets(text: str) -> tuple[int, ...]:
     return tuple(_at_least(1)(s) for s in text.split(","))
 
@@ -257,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="random-model convergence study")
     bench.add_argument("--models", type=_at_least(1), default=50)
-    # the first two nodes are never targets, so smaller graphs are all degenerate
-    bench.add_argument("--blocks", type=_at_least(3), default=12)
+    bench.add_argument("--blocks", type=_block_count, default=12)
     bench.add_argument("--samples", type=_sample_budgets, default="100,1000,5000")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--workers", type=_at_least(1), default=1)

@@ -52,7 +52,7 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,12 +192,15 @@ class ExecutionContext:
 
         Unnamed procedures get "auto:<k>", k counting only unnamed ones;
         reusing an address is a collision, caught when it is recorded.
+        Only plain families draw their value, so only they take a proposal.
         """
         if name is None:
             addr = f"auto:{self._auto}"
             self._auto += 1
         else:
             addr = name
+        if proposal is not None and type(spec) not in PLAIN_FAMILIES:
+            raise EngineError(f"{type(spec).__name__} at {addr!r} takes no proposal")
         parents = tuple([c.address for c in depends_on]) if depends_on else ()
         phase = self.phase
         if phase == DISCOVERY:
@@ -393,15 +396,20 @@ class ExecutionContext:
 
         kind "cf" forces only in the replay phase (three-step
         counterfactual); kind "iv" forces in every phase, equivalent to
-        editing the model.
+        editing the model.  Discovery records the do; abduction checks
+        that it did, and replay forces from the plan alone.
         """
         kind = kind.lower()
         if kind not in (CF, IV):
             raise ValueError(f"intervention kind must be 'cf' or 'iv', got {kind!r}")
-        if self.phase != DISCOVERY:
-            return
         plan = self.plan
         addr = choice.address
+        if self.phase != DISCOVERY:
+            if self.phase == ABDUCTION and addr not in plan.interventions:
+                raise StaleTraceError(
+                    f"stale trace: intervention at {addr!r} was not present during discovery"
+                )
+            return
         if addr in plan.interventions:
             raise EngineError(f"duplicate intervention at address {addr!r}")
         if kind == IV and addr in plan.observed:
@@ -714,34 +722,27 @@ def verify_declared_dependencies(program, *, seed: int = 0) -> list[str]:
     """Cross-check depends_on declarations by perturb-and-compare.
 
     Intended for small discrete models in tests: each boolean latent is
-    flipped by a surgical intervention and the program re-executed with
-    identical streams; any other address whose value moves must be a
-    declared (transitive) descendant of the flipped one.  Returns
-    human-readable violation descriptions, empty when all declarations
-    cover the true dependencies.
+    flipped by an iv do added to the discovered plan and abduction rerun
+    with identical streams; any other address whose value or noise moves
+    must be a declared (transitive) descendant of the flipped one.
+    Returns human-readable violation descriptions, empty when all
+    declarations cover the true dependencies.
     """
-    base_plan = discover(program, seed=seed)
-    structural = QueryPlan(
-        parents=base_plan.parents, families=base_plan.families, predicts=base_plan.predicts
-    )
-    base = abduction_sample(program, structural, seed, 0)
+    plan = discover(program, seed=seed)
+    base = abduction_sample(program, plan, seed, 0)
     violations: list[str] = []
     for addr, entry in base.entries.items():
         if entry.role != LATENT or not isinstance(entry.value, bool):
             continue
-        forced = QueryPlan(
-            parents=base_plan.parents,
-            families=base_plan.families,
-            predicts=base_plan.predicts,
-            interventions={addr: Intervention(not entry.value, IV)},
-        )
+        flip = Intervention(not entry.value, IV)
+        forced = replace(plan, interventions={**plan.interventions, addr: flip})
         flipped = abduction_sample(program, forced, seed, 0)
-        allowed = descendant_closure(base_plan.parents, [addr])
+        allowed = descendant_closure(plan.parents, [addr])
         for other, fent in flipped.entries.items():
             if other == addr:
                 continue
             bent = base.entries.get(other)
-            changed = bent is None or bent.value != fent.value
+            changed = bent is None or (bent.value, bent.noise) != (fent.value, fent.noise)
             if changed and other not in allowed:
                 violations.append(
                     f"flipping {addr!r} changed {other!r}, which does not "

@@ -121,6 +121,15 @@ def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bo
     yield from walk(low, prefix, state)
 
 
+def check_bound(scm: ScmSpec) -> None:
+    """Raise ValueError for a model with more exogenous bits than MAX_NODES."""
+    if len(scm.nodes) > MAX_NODES:
+        raise ValueError(
+            f"enumeration bound exceeded: {len(scm.nodes)} exogenous bits "
+            f"(max {MAX_NODES})"
+        )
+
+
 def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
                 target: str, condition_on_intervened: bool) -> float:
     """P(target) with the interventions forced, given the evidence: the
@@ -128,11 +137,7 @@ def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str
     over the chunks.  Unknown nodes raise before the size bound does."""
     for nid in [*evidence, *interventions, target]:
         scm.node(nid)
-    if len(scm.nodes) > MAX_NODES:
-        raise ValueError(
-            f"enumeration bound exceeded: {len(scm.nodes)} exogenous bits "
-            f"(max {MAX_NODES})"
-        )
+    check_bound(scm)
     totals, hits = [], []
     for probs, hit, mask in _chunks(
         scm, evidence, interventions, target, condition_on_intervened

@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .dists import Bernoulli, ObservableBernoulli
@@ -45,6 +45,26 @@ def linear_threshold(theta: tuple[float, ...], parent_values):
     return acc > 0.5
 
 
+def _tuple_of(types, what: str):
+    return (lambda v: isinstance(v, tuple) and v != () and all(isinstance(x, types) for x in v),
+            f"must be a non-empty tuple (JSON list) of {what}")
+
+
+_PROBABILITY = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "must lie in [0, 1]")
+
+# The fields each kind of node takes, in the order scm_to_json writes them,
+# each with the test its value must pass and what that test asks for.  The
+# JSON reader and writer and ScmSpec's validation all read this one table.
+NODE_FIELDS = {
+    PRIOR: {"p": _PROBABILITY},
+    DEPENDENT: {
+        "parents": _tuple_of(str, "node ids"),
+        "theta": _tuple_of((int, float), "numbers"),
+        "q": _PROBABILITY,
+    },
+}
+
+
 @dataclass(frozen=True)
 class ScmNode:
     id: str
@@ -55,45 +75,45 @@ class ScmNode:
     q: float | None = None
 
 
+# Every field some kind takes; one at its default (same value and type) was not given.
+_DEFAULTS = {f.name: f.default for f in fields(ScmNode)
+             if any(f.name in takes for takes in NODE_FIELDS.values())}
+
+
 @dataclass(frozen=True)
 class ScmSpec:
-    """Validated SCM; node order is the topological order."""
+    """Validated SCM in topological node order: the one check of a node, built
+    by hand or read from JSON, each failure a ValueError naming node and field."""
 
     nodes: tuple[ScmNode, ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[str] = set()
-        for node in self.nodes:
-            ctx = f"node {node.id!r}"
+        for i, node in enumerate(self.nodes):
+            if not isinstance(node.id, str) or not node.id:
+                raise ValueError(f"model: nodes[{i}]: id must be a non-empty string")
+            ctx = f"model: node {node.id!r}"
+            takes = NODE_FIELDS.get(node.kind) if isinstance(node.kind, str) else None
+            if takes is None:
+                raise ValueError(f"{ctx}: unknown kind {node.kind!r}")
+            for name, default in _DEFAULTS.items():
+                value = getattr(node, name)
+                if name in takes:
+                    if not takes[name][0](value):
+                        raise ValueError(f"{ctx}: {name} {takes[name][1]}, got {value!r}")
+                elif not (type(value) is type(default) and value == default):
+                    raise ValueError(f"{ctx}: {node.kind} nodes take no {name}")
             if node.id in seen:
                 raise ValueError(f"model: duplicate node id {node.id!r}")
-            if node.kind == PRIOR:
-                if node.p is None or not 0.0 <= node.p <= 1.0:
-                    raise ValueError(f"model: {ctx}: p must lie in [0, 1], got {node.p}")
-                if node.parents:
-                    raise ValueError(f"model: {ctx}: prior nodes take no parents")
-            elif node.kind == DEPENDENT:
-                if not node.parents:
-                    raise ValueError(f"model: {ctx}: dependent nodes need parents")
-                for par in node.parents:
-                    if par not in seen:
-                        raise ValueError(
-                            f"model: {ctx}: parent {par!r} is not an earlier node"
-                        )
-                if len(node.theta) != len(node.parents):
-                    raise ValueError(
-                        f"model: {ctx}: got {len(node.theta)} theta values for "
-                        f"{len(node.parents)} parents"
-                    )
-                if not abs(sum(node.theta) - 1.0) <= _THETA_TOL:  # NaN too
-                    raise ValueError(
-                        f"model: {ctx}: theta must sum to 1, got {sum(node.theta)!r}"
-                    )
-                if node.q is None or not 0.0 <= node.q <= 1.0:
-                    raise ValueError(f"model: {ctx}: q must lie in [0, 1], got {node.q}")
-            else:
-                raise ValueError(f"model: {ctx}: unknown kind {node.kind!r}")
+            for par in node.parents:
+                if par not in seen:
+                    raise ValueError(f"{ctx}: parent {par!r} is not an earlier node")
+            if len(node.theta) != len(node.parents):
+                raise ValueError(f"{ctx}: got {len(node.theta)} theta values for "
+                                 f"{len(node.parents)} parents")
+            if node.theta and not abs(sum(node.theta) - 1.0) <= _THETA_TOL:  # NaN too
+                raise ValueError(f"{ctx}: theta must sum to 1, got {sum(node.theta)!r}")
             seen.add(node.id)
         object.__setattr__(self, "_index", {n.id: n for n in self.nodes})
 
@@ -320,21 +340,21 @@ def build_program(scm: ScmSpec, query: BenchQuery, style: str = "eager"):
 
 
 def scm_to_json(scm: ScmSpec) -> dict:
-    nodes = []
-    for node in scm.nodes:
-        if node.kind == PRIOR:
-            nodes.append({"id": node.id, "kind": PRIOR, "p": node.p})
-        else:
-            nodes.append(
-                {
-                    "id": node.id,
-                    "kind": DEPENDENT,
-                    "parents": list(node.parents),
-                    "theta": list(node.theta),
-                    "q": node.q,
-                }
-            )
-    return {"nodes": nodes}
+    return {"nodes": [
+        {"id": n.id, "kind": n.kind} | {f: _to_json(getattr(n, f)) for f in NODE_FIELDS[n.kind]}
+        for n in scm.nodes
+    ]}
+
+
+def _to_json(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _from_json(value):
+    """JSON numbers become floats and lists tuples; ScmSpec checks the rest."""
+    if isinstance(value, list):
+        return tuple(map(_from_json, value))
+    return float(value) if isinstance(value, (int, float)) else value
 
 
 def _require(cond: bool, message: str):
@@ -348,53 +368,13 @@ def scm_from_json(doc) -> ScmSpec:
     nodes = []
     for i, item in enumerate(doc["nodes"]):
         _require(isinstance(item, dict), f"model: nodes[{i}] must be an object")
-        nid = item.get("id")
-        _require(
-            isinstance(nid, str) and nid != "", f"model: nodes[{i}]: missing id"
-        )
-        kind = item.get("kind")
-        if kind == PRIOR:
-            _require(
-                isinstance(item.get("p"), (int, float)),
-                f"model: node {nid!r}: prior nodes need numeric p",
-            )
-            nodes.append(ScmNode(nid, PRIOR, p=float(item["p"])))
-        elif kind == DEPENDENT:
-            parents = item.get("parents")
-            theta = item.get("theta")
-            _require(
-                isinstance(parents, list)
-                and parents
-                and all(isinstance(par, str) for par in parents),
-                f"model: node {nid!r}: dependent nodes need a list of parent ids",
-            )
-            _require(
-                isinstance(theta, list)
-                and all(isinstance(t, (int, float)) for t in theta),
-                f"model: node {nid!r}: theta must be a list of numbers",
-            )
-            _require(
-                isinstance(item.get("q"), (int, float)),
-                f"model: node {nid!r}: dependent nodes need numeric q",
-            )
-            nodes.append(
-                ScmNode(
-                    nid,
-                    DEPENDENT,
-                    parents=tuple(parents),
-                    theta=tuple(float(t) for t in theta),
-                    q=float(item["q"]),
-                )
-            )
-        else:
-            raise ValueError(f"model: node {nid!r}: kind must be 'prior' or 'dependent'")
+        given = {f: _from_json(item[f]) for f in _DEFAULTS if f in item}
+        nodes.append(ScmNode(item.get("id"), item.get("kind"), **given))
     return ScmSpec(tuple(nodes))
 
 
 def _coerce_binary(value, where: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    if value in (0, 1):
+    if value in (0, 1):  # True and False too
         return bool(value)
     raise ValueError(f"query: {where} must be 0 or 1, got {value!r}")
 

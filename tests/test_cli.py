@@ -181,6 +181,23 @@ class TestRun:
             assert out == ""
             assert "node 'y'" in err and word in err
 
+    def test_exact_engine_node_bound_is_a_message(self, tmp_path, capsys):
+        # was a ValueError traceback
+        nodes = [{"id": f"r{i}", "kind": "prior", "p": 0.5} for i in range(25)]
+        nodes.append({"id": "y", "kind": "dependent", "parents": ["r0"], "theta": [1.0],
+                      "q": 0.2})
+        model = tmp_path / "model.json"
+        query = tmp_path / "query.json"
+        model.write_text(json.dumps({"nodes": nodes}))
+        query.write_text(json.dumps({**FLIP_QUERY, "do": {"id": "r0", "value": 1}}))
+        code, out, err = run_cli(
+            ["run", "--model", str(model), "--query", str(query), "--engine", "exact"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "26 exogenous bits (max 25)" in err
+
     def test_missing_file_exits_one_and_names_the_path(self, tmp_path, two_node_files, capsys):
         model, query = two_node_files
         missing = str(tmp_path / "missing.json")
@@ -336,6 +353,16 @@ class TestBench:
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
             assert not out.exists()
+
+    def test_blocks_beyond_the_exact_bound_is_a_usage_error(self, tmp_path, capsys):
+        # was a ValueError traceback after an empty CSV had been written
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--models", "1", "--blocks", "26", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--blocks" in err and "at most 25" in err
+        assert not out.exists()
 
     def test_unwritable_out_path_exits_one_before_the_study(
         self, tmp_path, capsys, monkeypatch

@@ -67,6 +67,20 @@ class TestWeights:
             assert lw == Normal(0, 1).log_density(x) - Normal(1, 1).log_density(x)
         assert abs(np.mean(xs) - 1.0) < 0.2  # drawn from the proposal
 
+    @pytest.mark.parametrize(
+        "spec",
+        [wi.ObservableNormal(0, 1), wi.ObservableBernoulli(True, 0.1), wi.Delta(0.0)],
+        ids=lambda spec: type(spec).__name__,
+    )
+    def test_proposal_a_family_cannot_use_is_refused(self, spec):
+        # was dropped: ObservableNormal(0, 1) estimated about 0, from the prior
+        def program(ctx):
+            y = ctx.sample(spec, name="y", proposal=Normal(5, 1))
+            ctx.predict(y.value, label="y")
+
+        with pytest.raises(EngineError, match=f"{type(spec).__name__} at 'y' takes no proposal"):
+            wi.run_inference(program, 10, seed=0)
+
     def test_replay_preserves_weight_bitwise(self):
         res = wi.run_inference(gaussian_program, 500, seed=2, keep_traces=True)
         for abd, rep in res.traces:
@@ -247,6 +261,20 @@ class TestStatements:
         plan = discover(program)
         with pytest.raises(StaleTraceError, match="observation at 'y'"):
             abduction_sample(program, plan, 0, 0)
+
+    def test_intervention_unseen_by_discovery_is_stale(self):
+        # was ignored: the samples ran as if no do had been issued
+        def program(ctx):
+            x = ctx.bernoulli(0.5, name="x")
+            y = ctx.observable_bernoulli(x.value, 0.1, name="y", depends_on=[x])
+            if not ctx.intervening():  # discovery never reaches the do
+                ctx.do(x, True)
+            ctx.predict(y.value, label="y")
+
+        with pytest.raises(StaleTraceError, match="intervention at 'x'"):
+            abduction_sample(program, discover(program), 0, 0)
+        with pytest.raises(StaleTraceError, match="intervention at 'x'"):
+            wi.run_inference(program, 10, seed=0)
 
     def test_predicts_must_match_discovery(self):
         def extra(ctx):
@@ -718,6 +746,26 @@ class TestDependencyChecker:
 
         violations = wi.verify_declared_dependencies(program)
         assert violations
+        assert "'b'" in violations[0] and "'a'" in violations[0]
+
+    @pytest.mark.parametrize("style", ["eager", "lazy"])
+    def test_benchmark_programs_declare_every_dependency(self, style):
+        # abduction under a plan without the evidence raised StaleTraceError
+        for i in range(30):
+            scm, query = wi.generate_case(0, i, 8)
+            program = wi.build_program(scm, query, style)
+            assert wi.verify_declared_dependencies(program) == [], i
+
+    def test_observed_child_with_undeclared_parent_reported(self):
+        # b's value is pinned by the evidence; flipping a moves its noise
+        def program(ctx):
+            a = ctx.bernoulli(0.5, name="a")
+            b = ctx.observable_bernoulli(a.value, 0.1, name="b")  # forgot depends_on
+            ctx.observe(b, True)
+            ctx.predict(a.value, label="a")
+
+        violations = wi.verify_declared_dependencies(program)
+        assert len(violations) == 1
         assert "'b'" in violations[0] and "'a'" in violations[0]
 
 

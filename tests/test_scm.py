@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -306,3 +307,128 @@ class TestJson:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(scm_to_json(scm)))
         assert wi.load_model(str(path)) == scm
+
+
+# Model documents and what scm_from_json made of them before the node checks
+# moved into ScmSpec.  An accepted document maps to the nodes it loads to; a
+# rejected one maps to patterns its ValueError must match, naming the node
+# (its id or nodes[i]) and the field.  NOW_REJECTED were accepted before.
+_X = {"id": "x", "kind": "prior", "p": 0.5}
+_Y = {"id": "y", "kind": "dependent", "parents": ["x"], "theta": [1.0], "q": 0.2}
+X = ScmNode("x", "prior", p=0.5)
+Y = ScmNode("y", "dependent", parents=("x",), theta=(1.0,), q=0.2)
+P, Q, ID = r"\bp\b", r"\bq\b", r"\bid\b"
+
+
+def x_with(**keys):
+    return {"nodes": [{**_X, **keys}]}
+
+
+def x_without(key):
+    return {"nodes": [{k: v for k, v in _X.items() if k != key}]}
+
+
+def y_with(**keys):
+    return {"nodes": [_X, {**_Y, **keys}]}
+
+
+def y_without(key):
+    return {"nodes": [_X, {k: v for k, v in _Y.items() if k != key}]}
+
+
+MODEL_DOCS = {
+    # refused by the reader
+    "top level not an object": ([_X], ("top level",)),
+    "nodes missing": ({}, ("'nodes'",)),
+    "nodes not a list": ({"nodes": {"x": _X}}, ("'nodes'",)),
+    "node not an object": ({"nodes": [_X, 3]}, (r"nodes\[1\]",)),
+    "id missing": (x_without("id"), (r"nodes\[0\]", ID)),
+    "id empty": (x_with(id=""), (r"nodes\[0\]", ID)),
+    "id a number": (x_with(id=7), (r"nodes\[0\]", ID)),
+    "kind unknown": (x_with(kind="exogenous"), ("node 'x'", "kind")),
+    "kind missing": (x_without("kind"), ("node 'x'", "kind")),
+    "kind a list": (x_with(kind=["prior"]), ("node 'x'", "kind")),
+    "p missing": (x_without("p"), ("node 'x'", P)),
+    "p a string": (x_with(p="0.5"), ("node 'x'", P)),
+    "parents missing": (y_without("parents"), ("node 'y'", "parent")),
+    "parents empty": (y_with(parents=[]), ("node 'y'", "parent")),
+    "parents a string": (y_with(parents="x"), ("node 'y'", "parent")),
+    "parents holding a number": (y_with(parents=[1]), ("node 'y'", "parent")),
+    "parents holding a list": (y_with(parents=[["x"]]), ("node 'y'", "parent")),
+    "theta missing": (y_without("theta"), ("node 'y'", "theta")),
+    "theta a string": (y_with(theta="1.0"), ("node 'y'", "theta")),
+    "theta holding a string": (y_with(theta=["1.0"]), ("node 'y'", "theta")),
+    "q missing": (y_without("q"), ("node 'y'", Q)),
+    "q a string": (y_with(q="0.2"), ("node 'y'", Q)),
+    "q null": (y_with(q=None), ("node 'y'", Q)),
+    # refused by ScmSpec
+    "id repeated": ({"nodes": [_X, _X]}, ("'x'", ID)),
+    "p above one": (x_with(p=1.5), ("node 'x'", P)),
+    "p not a number": (x_with(p=float("nan")), ("node 'x'", P)),
+    "q below zero": (y_with(q=-0.1), ("node 'y'", Q)),
+    "parent later in the list": (y_with(parents=["z"]), ("node 'y'", "parent")),
+    "parent is the node itself": (y_with(parents=["y"]), ("node 'y'", "parent")),
+    "more theta than parents": (y_with(theta=[0.5, 0.5]), ("node 'y'", "theta")),
+    "theta not summing to one": (y_with(theta=[0.7]), ("node 'y'", "theta")),
+    "theta not a number": (y_with(theta=[float("nan")]), ("node 'y'", "theta")),
+    # accepted
+    "two nodes": ({"nodes": [_X, _Y]}, (X, Y)),
+    "integer p": (x_with(p=1), (ScmNode("x", "prior", p=1.0),)),
+    "true as p": (x_with(p=True), (ScmNode("x", "prior", p=1.0),)),
+    "unknown extra key": (x_with(note="ignored"), (X,)),
+    "integer theta": (y_with(theta=[1]), (X, Y)),
+    "null for a field the kind does not take": (x_with(q=None), (X,)),
+    "empty parents on a prior": (x_with(parents=[]), (X,)),
+}
+NOW_REJECTED = {
+    "prior with parents": (x_with(parents=["zz"]), ("node 'x'", "parents")),
+    "prior with theta": (x_with(theta=[1.0]), ("node 'x'", "theta")),
+    "prior with q": (x_with(q=0.2), ("node 'x'", Q)),
+    "dependent with p": (y_with(p=0.5), ("node 'y'", P)),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, outcome",
+    [pytest.param(*case, id=name) for name, case in {**MODEL_DOCS, **NOW_REJECTED}.items()],
+)
+def test_model_documents_keep_their_outcome(doc, outcome):
+    if isinstance(outcome[0], ScmNode):
+        expected = ScmSpec(outcome)
+        scm = scm_from_json(doc)
+        assert scm == expected
+        assert json.dumps(scm_to_json(scm)) == json.dumps(scm_to_json(expected))
+        return
+    with pytest.raises(ValueError) as exc:
+        scm_from_json(doc)
+    for pattern in outcome:
+        assert re.search(pattern, str(exc.value)), (pattern, str(exc.value))
+
+
+# Hand-built nodes that ScmSpec used to accept (an empty id, parents given as
+# a string or a list) or to fail on with a TypeError (a string number).
+HAND_BUILT = {
+    "p a string": (ScmNode("x", "prior", p="0.5"), ("node 'x'", P)),
+    "id empty": (ScmNode("", "prior", p=0.5), (r"nodes\[1\]", ID)),
+    "parents a string": (
+        ScmNode("y", "dependent", parents="x", theta=(1.0,), q=0.2), ("node 'y'", "parents")
+    ),
+    "parents a list": (
+        ScmNode("y", "dependent", parents=["x"], theta=(1.0,), q=0.2), ("node 'y'", "parents")
+    ),
+    "theta holding a string": (
+        ScmNode("y", "dependent", parents=("x",), theta=("1.0",), q=0.2), ("node 'y'", "theta")
+    ),
+    "q a string": (ScmNode("y", "dependent", parents=("x",), theta=(1.0,), q="0.2"),
+                   ("node 'y'", Q)),
+}
+
+
+@pytest.mark.parametrize(
+    "node, patterns", [pytest.param(*case, id=name) for name, case in HAND_BUILT.items()]
+)
+def test_hand_built_nodes_are_checked_like_loaded_ones(node, patterns):
+    with pytest.raises(ValueError) as exc:
+        ScmSpec((X, node))
+    for pattern in patterns:
+        assert re.search(pattern, str(exc.value)), (pattern, str(exc.value))
