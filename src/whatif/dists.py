@@ -17,6 +17,16 @@ Because the noise is explicit, evidence is absorbed without rejection,
 and counterfactual replay can rerun output() under new parent values
 while holding the abducted noise fixed.
 
+The families in RAW_FAMILIES draw from at most rng.PRE_DRAWN raws, the
+ones a key block computes ahead, so they also draw straight from them:
+draw(raw1, raw2) for a plain family, draw_noise(raw1, raw2) for an
+observable one; a family that needs one raw ignores raw2.  sample and
+sample_noise go through the same method on the raws they take from the
+stream, so both paths give the same bits.  Their
+observable members absorb by inverting output(), drawing nothing, and
+take stream None.  Beta's rejection loop and ObservableNoisyOr's
+per-parent noises draw an unbounded or larger count and keep the stream.
+
 Densities are returned in nats.  Zero-probability outcomes score -inf.
 """
 
@@ -25,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rng import RandomStream
+from .rng import RandomStream, to_normal, to_uniform
 
 _NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -50,8 +60,11 @@ class Normal:
         z = (x - self.mean) / self.std
         return -0.5 * z * z - math.log(self.std) - _HALF_LOG_2PI
 
+    def draw(self, raw1: int, raw2: int) -> float:
+        return to_normal(raw1, raw2, self.mean, self.std)
+
     def sample(self, stream: RandomStream) -> float:
-        return stream.normal(self.mean, self.std)
+        return self.draw(stream.next_raw(), stream.next_raw())
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +78,11 @@ class Bernoulli:
     def log_density(self, value: bool) -> float:
         return _bernoulli_log_mass(self.p, bool(value))
 
+    def draw(self, raw1: int, _raw2: int = 0) -> bool:
+        return to_uniform(raw1) < self.p
+
     def sample(self, stream: RandomStream) -> bool:
-        return stream.bernoulli(self.p)
+        return self.draw(stream.next_raw())
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +99,11 @@ class Uniform:
             return -math.log(self.hi - self.lo)
         return _NEG_INF
 
+    def draw(self, raw1: int, _raw2: int = 0) -> float:
+        return self.lo + to_uniform(raw1) * (self.hi - self.lo)
+
     def sample(self, stream: RandomStream) -> float:
-        return self.lo + stream.uniform() * (self.hi - self.lo)
+        return self.draw(stream.next_raw())
 
 
 def _gamma_sample(stream: RandomStream, shape: float) -> float:
@@ -158,13 +177,16 @@ class ObservableNormal:
         z = noise / self.noise_std
         return -0.5 * z * z - math.log(self.noise_std) - _HALF_LOG_2PI
 
+    def draw_noise(self, raw1: int, raw2: int) -> float:
+        return to_normal(raw1, raw2, 0.0, self.noise_std)
+
     def sample_noise(self, stream: RandomStream) -> float:
-        return stream.normal(0.0, self.noise_std)
+        return self.draw_noise(stream.next_raw(), stream.next_raw())
 
     def output(self, noise: float) -> float:
         return self.mean + noise
 
-    def absorb(self, observed: float, stream: RandomStream):
+    def absorb(self, observed: float, stream=None):
         """The unique noise with mean + noise == observed."""
         return float(observed), observed - self.mean, 0.0
 
@@ -189,13 +211,16 @@ class ObservableBernoulli:
     def noise_log_prior(self, noise: bool) -> float:
         return _bernoulli_log_mass(self.flip_prob, noise)
 
+    def draw_noise(self, raw1: int, _raw2: int = 0) -> bool:
+        return to_uniform(raw1) < self.flip_prob
+
     def sample_noise(self, stream: RandomStream) -> bool:
-        return stream.bernoulli(self.flip_prob)
+        return self.draw_noise(stream.next_raw())
 
     def output(self, noise: bool) -> bool:
         return bool(self.f_value) != bool(noise)
 
-    def absorb(self, observed: bool, stream: RandomStream):
+    def absorb(self, observed: bool, stream=None):
         """The unique flip with f_value xor flip == observed."""
         return bool(observed), bool(self.f_value) != bool(observed), 0.0
 
@@ -286,6 +311,8 @@ class ObservableNoisyOr:
 # Delta, a point mass, is neither.
 PLAIN_FAMILIES = (Normal, Bernoulli, Uniform, Beta)
 OBSERVABLE_FAMILIES = (ObservableNormal, ObservableBernoulli, ObservableNoisyOr)
+# Families that draw from their stream's first rng.PRE_DRAWN raws (see above).
+RAW_FAMILIES = (Normal, Bernoulli, Uniform, ObservableNormal, ObservableBernoulli)
 
 
 def sample_and_score(spec, stream: RandomStream, proposal=None):
@@ -299,10 +326,25 @@ def sample_and_score(spec, stream: RandomStream, proposal=None):
         value = spec.sample(stream)
         lp = spec.log_density(value)
         return value, lp, lp
+    _check_proposal(spec, proposal)
+    value = proposal.sample(stream)
+    return value, spec.log_density(value), proposal.log_density(value)
+
+
+def draw_and_score(spec, raw1: int, raw2: int, proposal=None):
+    """sample_and_score for a plain RAW_FAMILIES spec whose stream starts raw1, raw2."""
+    if proposal is None:
+        value = spec.draw(raw1, raw2)
+        lp = spec.log_density(value)
+        return value, lp, lp
+    _check_proposal(spec, proposal)
+    value = proposal.draw(raw1, raw2)
+    return value, spec.log_density(value), proposal.log_density(value)
+
+
+def _check_proposal(spec, proposal) -> None:
     if type(proposal) is not type(spec):
         raise ValueError(
             f"proposal family {type(proposal).__name__} does not match "
             f"prior family {type(spec).__name__}"
         )
-    value = proposal.sample(stream)
-    return value, spec.log_density(value), proposal.log_density(value)

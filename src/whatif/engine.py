@@ -29,7 +29,8 @@ which hands it to the handler of the current phase:
 
 The engine tells families apart only as Delta, dists.PLAIN_FAMILIES
 (implicit randomness) and dists.OBSERVABLE_FAMILIES (explicit noise,
-with sample_noise / output / noise_log_prior / absorb).
+with sample_noise / output / noise_log_prior / absorb), and by
+dists.RAW_FAMILIES, the ones it can draw from a key block's raws.
 
 So a counterfactual query costs 2N + 1 program executions, anything
 else N + 1.  Every random draw comes from a stream keyed by (seed,
@@ -40,10 +41,13 @@ are forked where the platform allows, so a closure works as a program.
 run_inference keys its samples BLOCK at a time: one rng.key_block pass
 computes each sample's key and, for every stream the discovery pass
 saw, the stream's base and first raw draws, which both executions of
-the sample start their streams from.  Any other stream (a branch
-discovery never took, replay's @cf redraws), and the one execution that
-discover, abduction_sample and counterfactual_replay each run, take the
-scalar keyed_stream path, which gives the same bits.
+the sample share.  A choice of a dists.RAW_FAMILIES family is computed
+straight from those raws, with no stream built, and an observable of
+such a family absorbs its evidence without one.  Beta and
+ObservableNoisyOr start a stream from the block.  Any other stream (a
+branch discovery never took, replay's @cf redraws), and the one
+execution that discover, abduction_sample and counterfactual_replay each
+run, take the scalar keyed_stream path, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import numpy as np
 from .dists import (
     OBSERVABLE_FAMILIES,
     PLAIN_FAMILIES,
+    RAW_FAMILIES,
     Beta,
     Bernoulli,
     Delta,
@@ -67,9 +72,11 @@ from .dists import (
     ObservableNormal,
     ObservableNoisyOr,
     Uniform,
+    draw_and_score,
     sample_and_score,
 )
 from .errors import (
+    AddressCollisionError,
     EngineError,
     NoSurvivingSamplesError,
     UnobservableProcedureError,
@@ -97,6 +104,7 @@ REPLAY_STREAM_SUFFIX = "@cf"
 # Samples keyed together by one rng.key_block pass in _run_chunk.
 BLOCK = 128
 _NO_COLUMNS: dict[str, int] = {}
+_NEG_INF = float("-inf")
 
 
 @dataclass(slots=True)
@@ -258,26 +266,49 @@ class ExecutionContext:
             return keyed_stream(self._key, addr)
         return RandomStream(*self._starts[j])
 
-    def _record(self, addr, value, lp, lq, role, parents, noise=None) -> TraceEntry:
-        entry = TraceEntry(addr, value, lp, lq, role, parents, noise)
-        self.trace.record(entry)
+    def _record(self, addr, value, lp, lq, role, parents, noise=None, term=0.0) -> TraceEntry:
+        """Insert the entry and add its weight term in one step.
+
+        The caller, which knows the role, passes trace.entry_contribution
+        of the entry as term.  fsum ignores zeros (either sign), so a zero
+        term is skipped and every weight keeps its bits; NaN is non-zero
+        and raises.
+        """
+        trace = self.trace
+        if addr in trace.entries:
+            raise AddressCollisionError(f"address collision: {addr!r} already recorded")
+        entry = trace.entries[addr] = TraceEntry(addr, value, lp, lq, role, parents, noise)
+        if term != 0.0:
+            trace.accumulate(term)
         return entry
 
     def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
         """Sample from the prior or proposal with no evidence applied.
 
-        Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream of its
-        own, independent of the abducted draws at the same address.
+        A RAW_FAMILIES choice whose stream the key block holds is drawn
+        from the block's raws.  Replay passes REPLAY_STREAM_SUFFIX to
+        redraw on a stream of its own, which no block holds, independent
+        of the abducted draws at the same address.
         """
         fam = type(spec)
         if fam is Delta:
             return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
         if fam in PLAIN_FAMILIES:
-            stream = self._stream(addr + suffix if suffix else addr)
-            value, lp, lq = sample_and_score(spec, stream, proposal)
-            return self._record(addr, value, lp, lq, LATENT, parents)
+            j = None if suffix or fam not in RAW_FAMILIES else self._columns.get(addr)
+            if j is None:
+                value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
+            else:
+                _, raw1, raw2 = self._starts[j]
+                value, lp, lq = draw_and_score(spec, raw1, raw2, proposal)
+            term = lp if lp == _NEG_INF else lp - lq  # a latent's entry_contribution
+            return self._record(addr, value, lp, lq, LATENT, parents, None, term)
         name = addr + NOISE_SUFFIX
-        noise = spec.sample_noise(self._stream(name + suffix if suffix else name))
+        j = None if suffix or fam not in RAW_FAMILIES else self._columns.get(name)
+        if j is None:
+            noise = spec.sample_noise(self._stream(name + suffix))
+        else:
+            _, raw1, raw2 = self._starts[j]
+            noise = spec.draw_noise(raw1, raw2)
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
     def _forced(self, addr, parents) -> Choice | None:
@@ -312,20 +343,23 @@ class ExecutionContext:
 
         Observable families pin their noise to the observation and score
         it by the prior-to-proposal ratio of the forced noise assignment;
-        the one observed entry carries both the ratio and the noise.
+        the one observed entry carries both the ratio and the noise.  Only
+        a family outside RAW_FAMILIES draws while absorbing, so only it
+        gets a stream.
         """
         fam = type(spec)
         if fam is Delta:
             loglik = spec.log_density(observed)
-            return self._record(addr, spec.value, loglik, 0.0, OBSERVED, parents)
+            return self._record(addr, spec.value, loglik, 0.0, OBSERVED, parents, None, loglik)
         if fam not in OBSERVABLE_FAMILIES:
             raise UnobservableProcedureError(
                 f"unobservable procedure: cannot absorb evidence at {addr!r} "
                 f"({fam.__name__} has implicit randomness)"
             )
-        value, noise, log_q = spec.absorb(observed, self._stream(addr + NOISE_SUFFIX))
+        stream = None if fam in RAW_FAMILIES else self._stream(addr + NOISE_SUFFIX)
+        value, noise, log_q = spec.absorb(observed, stream)
         loglik = spec.noise_log_prior(noise) - log_q
-        return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise)
+        return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise, loglik)
 
     def _replay(self, addr, spec, parents) -> Choice:
         """Rerun one choice in the counterfactual world.

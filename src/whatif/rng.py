@@ -16,10 +16,16 @@ The engine keys a block of samples at once: key_block computes, in one
 numpy uint64 pass, every sample's key and, for each stream name the
 discovery pass recorded, each sample's stream base and first PRE_DRAWN
 raw draws.  numpy's uint64 arithmetic wraps modulo 2^64 exactly like the
-masked Python ints of _mix64, so a stream started from the table yields
-the same bits as keyed_stream; past its pre-drawn raws it continues at
-the counter.  A name outside the block, or a single execution, takes the
-scalar path through keyed_stream.
+masked Python ints of _mix64, so the table holds the same bits as
+keyed_stream would draw.  A choice whose whole draw fits in those raws
+is computed from them directly; a stream started from the table
+(RandomStream(base, raw1, raw2)) serves one that may need more, and past
+its pre-drawn raws it continues at the counter.  A name outside the
+block, or a single execution, takes the scalar path through keyed_stream.
+
+Raws become doubles through one function per conversion (to_uniform,
+to_uniform_pos, to_normal), which RandomStream and the direct path both
+call, so both give the same bits by construction.
 """
 
 from __future__ import annotations
@@ -67,6 +73,25 @@ def sample_key(seed: int, sample_index: int) -> int:
     return _mix64(_mix64(seed & _MASK) ^ (sample_index & _MASK))
 
 
+def to_uniform(raw: int) -> float:
+    """Uniform double in [0, 1) from one raw draw."""
+    return (raw >> 11) * _INV_2_53
+
+
+def to_uniform_pos(raw: int) -> float:
+    """Uniform double in (0, 1] from one raw draw; safe to pass to log()."""
+    return ((raw >> 11) + 1) * _INV_2_53
+
+
+def to_normal(raw1: int, raw2: int, mean: float = 0.0, std: float = 1.0) -> float:
+    """Normal(mean, std) deviate from two raw draws by Box-Muller.
+
+    The sine branch is discarded, so each deviate consumes exactly two raws.
+    """
+    r = math.sqrt(-2.0 * math.log(to_uniform_pos(raw1)))
+    return mean + std * r * math.cos(_TWO_PI * to_uniform(raw2))
+
+
 class RandomStream:
     """Stateful view over one address's counter-based draw sequence.
 
@@ -81,7 +106,8 @@ class RandomStream:
         self._raws = raws
         self._n = 0
 
-    def _next64(self) -> int:
+    def next_raw(self) -> int:
+        """The sequence's next raw 64-bit draw."""
         n = self._n
         self._n = n + 1
         if n < len(self._raws):
@@ -90,19 +116,14 @@ class RandomStream:
 
     def uniform(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self._next64() >> 11) * _INV_2_53
+        return to_uniform(self.next_raw())
 
     def uniform_pos(self) -> float:
         """Uniform double in (0, 1]; safe to pass to log()."""
-        return ((self._next64() >> 11) + 1) * _INV_2_53
+        return to_uniform_pos(self.next_raw())
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        # Box-Muller, one deviate per pair of raws; the sine branch is
-        # discarded so each call consumes exactly two counter steps.
-        u1 = self.uniform_pos()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        return mean + std * r * math.cos(_TWO_PI * u2)
+        return to_normal(self.next_raw(), self.next_raw(), mean, std)
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p

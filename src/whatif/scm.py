@@ -350,11 +350,16 @@ def _to_json(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _from_json(value):
+def _from_json(value, where: str):
     """JSON numbers become floats and lists tuples; ScmSpec checks the rest."""
     if isinstance(value, list):
-        return tuple(map(_from_json, value))
-    return float(value) if isinstance(value, (int, float)) else value
+        return tuple(_from_json(v, where) for v in value)
+    if not isinstance(value, (int, float)):
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{where} is too large for a float") from None
 
 
 def _require(cond: bool, message: str):
@@ -368,7 +373,9 @@ def scm_from_json(doc) -> ScmSpec:
     nodes = []
     for i, item in enumerate(doc["nodes"]):
         _require(isinstance(item, dict), f"model: nodes[{i}] must be an object")
-        given = {f: _from_json(item[f]) for f in _DEFAULTS if f in item}
+        nid = item.get("id")
+        where = f"model: node {nid!r}" if isinstance(nid, str) and nid else f"model: nodes[{i}]"
+        given = {f: _from_json(item[f], f"{where}: {f}") for f in _DEFAULTS if f in item}
         nodes.append(ScmNode(item.get("id"), item.get("kind"), **given))
     return ScmSpec(tuple(nodes))
 

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +183,18 @@ class TestRun:
             assert out == ""
             assert "node 'y'" in err and word in err
 
+    def test_integer_past_the_float_range_exits_one(self, tmp_path, capsys):
+        # was an OverflowError traceback
+        model = tmp_path / "model.json"
+        query = tmp_path / "query.json"
+        model.write_text(json.dumps(
+            {"nodes": [{**TWO_NODE["nodes"][0], "p": 10**400}, TWO_NODE["nodes"][1]]}
+        ))
+        query.write_text(json.dumps(FLIP_QUERY))
+        code, out, err = run_cli(["run", "--model", str(model), "--query", str(query)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "model: node 'x': p is too large for a float\n"
+
     def test_exact_engine_node_bound_is_a_message(self, tmp_path, capsys):
         # was a ValueError traceback
         nodes = [{"id": f"r{i}", "kind": "prior", "p": 0.5} for i in range(25)]
@@ -308,6 +322,20 @@ class TestRun:
             text=True,
         )
         assert proc.returncode == 0
+        assert "estimate" in json.loads(proc.stdout)
+
+    def test_package_runs_as_a_module_from_a_checkout(self, two_node_files):
+        # python -m whatif with only the source directory on the path
+        model, query = two_node_files
+        src = str(Path(wi.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "whatif", "run", "--model", model,
+             "--query", query, "--samples", "500", "--seed", "0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
         assert "estimate" in json.loads(proc.stdout)
 
     @pytest.mark.parametrize("case", sorted(REFUSED))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -14,9 +14,10 @@ from whatif.dists import (
     ObservableNoisyOr,
     ObservableNormal,
     Uniform,
+    draw_and_score,
     sample_and_score,
 )
-from whatif.rng import rng_for_address
+from whatif.rng import RandomStream, rng_for_address
 
 
 def stream(tag, idx=0):
@@ -110,6 +111,45 @@ class TestSampling:
 
     def test_delta_sampling_is_deterministic(self):
         assert Delta(7).sample(stream("d")) == 7
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else repr(x)
+
+
+_RAW = st.integers(0, 2**64 - 1)
+_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(_RAW, _RAW, _RAW, _PROB, _PROB, st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+# raw 0 draws uniform 0.0: the proposals draw True and below the prior's
+# support, so both score -inf under the prior
+@example(base=1, raw1=0, raw2=2**64 - 1, p=0.0, q=1.0, loc=0.0, scale=1.0)
+@example(base=1, raw1=2**64 - 1, raw2=0, p=1.0, q=0.0, loc=-5.0, scale=1e-3)
+def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
+    # a key block's choice is drawn from its stream's first raws directly;
+    # it must give what the stream started from those raws gives
+    def started():
+        return RandomStream(base, raw1, raw2)
+
+    plain = [
+        (Normal(loc, scale), Normal(-loc, 2.0 * scale)),
+        (Bernoulli(p), Bernoulli(q)),
+        (Uniform(loc, loc + scale), Uniform(loc - scale, loc + 0.5 * scale)),
+    ]
+    for spec, proposal in plain:
+        assert _bits(spec.draw(raw1, raw2)) == _bits(spec.sample(started()))
+        for prop in (None, proposal):
+            drawn = draw_and_score(spec, raw1, raw2, prop)
+            sampled = sample_and_score(spec, started(), prop)
+            assert list(map(_bits, drawn)) == list(map(_bits, sampled))
+    for spec in (ObservableNormal(loc, scale), ObservableBernoulli(True, p)):
+        assert _bits(spec.draw_noise(raw1, raw2)) == _bits(spec.sample_noise(started()))
+
+
+def test_draw_and_score_refuses_a_mismatched_proposal():
+    with pytest.raises(ValueError, match="proposal family"):
+        draw_and_score(Normal(0, 1), 1, 2, proposal=Uniform(0, 1))
 
 
 class TestObservableNormal:

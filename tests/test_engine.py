@@ -6,7 +6,7 @@ import pytest
 
 import whatif as wi
 from whatif import engine
-from whatif.dists import Normal
+from whatif.dists import Bernoulli, Normal, Uniform
 from whatif.engine import (
     BLOCK,
     abduction_sample,
@@ -20,7 +20,9 @@ from whatif.errors import (
     StaleTraceError,
     UnobservableProcedureError,
 )
+from whatif.rng import RandomStream
 from whatif.scm import build_program, generate_case
+from whatif.trace import entry_contribution
 
 
 def gaussian_program(ctx):
@@ -596,6 +598,29 @@ def coin_branch_program(ctx):
     ctx.predict(y.value, label="y")
 
 
+def uniform_program(ctx):
+    u = ctx.uniform(-1, 3, name="u")
+    y = ctx.observable_normal(u.value, 0.5, name="y", depends_on=[u])
+    ctx.observe(y, 1.0)
+    ctx.do(u, 0.0, kind=wi.CF)
+    ctx.predict(y.value, label="y")
+
+
+def proposal_program(ctx):
+    # every plain family under a proposal; the Uniform and Bernoulli
+    # proposals reach outside their priors' support, scoring -inf
+    x = ctx.sample(Normal(0, 1), proposal=Normal(1, 2), name="x")
+    u = ctx.sample(Uniform(0, 1), proposal=Uniform(-0.1, 1.2), name="u")
+    c = ctx.sample(Bernoulli(0.0), proposal=Bernoulli(0.02), name="c")
+    b = ctx.sample(Bernoulli(0.7), proposal=Bernoulli(1.0), name="b")
+    y = ctx.observable_bernoulli(
+        b.value and x.value > u.value, 0.2, name="y", depends_on=[x, u, b]
+    )
+    ctx.observe(y, True)
+    ctx.do(x, -1.0, kind=wi.CF)
+    ctx.predict(y.value or c.value, label="y")
+
+
 def _one_at_a_time(program, n, seed):
     """run_inference's loop over the single-execution functions."""
     plan = discover(program, seed=seed)
@@ -610,13 +635,35 @@ def _one_at_a_time(program, n, seed):
     return np.asarray(lws, dtype=float), preds
 
 
+def _calls_after_discovery(program, owner, attr):
+    """Calls of owner.attr while run_inference samples, after discovery."""
+    calls = [0]
+    real_attr, real_discover = getattr(owner, attr), engine.discover
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real_attr(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        def discover_then_count(*args, **kwargs):
+            plan = real_discover(*args, **kwargs)
+            mp.setattr(owner, attr, counted)
+            return plan
+
+        mp.setattr(engine, "discover", discover_then_count)
+        wi.run_inference(program, 2 * BLOCK + 3, seed=21)
+    return calls[0]
+
+
 def _reprs(predictions):
     return [{k: repr(v) for k, v in p.items()} for p in predictions]
 
 
 class TestKeyBlocks:
     @pytest.mark.parametrize(
-        "program", [gaussian_program, noisy_or_program, beta_program, coin_branch_program]
+        "program",
+        [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
+         uniform_program, proposal_program],
     )
     @pytest.mark.parametrize("workers", [1, 3])
     def test_blocked_run_matches_single_executions(self, program, workers):
@@ -631,22 +678,7 @@ class TestKeyBlocks:
         # digests cannot show which path ran: count scalar stream keyings
         # after discovery, whose one execution is always scalar
         def scalar_keyings(program):
-            calls = [0]
-            real_keyed_stream, real_discover = engine.keyed_stream, engine.discover
-
-            def counted(key, address):
-                calls[0] += 1
-                return real_keyed_stream(key, address)
-
-            with pytest.MonkeyPatch.context() as mp:
-                def discover_then_count(*args, **kwargs):
-                    plan = real_discover(*args, **kwargs)
-                    mp.setattr(engine, "keyed_stream", counted)
-                    return plan
-
-                mp.setattr(engine, "discover", discover_then_count)
-                wi.run_inference(program, 2 * BLOCK + 3, seed=21)
-            return calls[0]
+            return _calls_after_discovery(program, engine, "keyed_stream")
 
         scm, query = generate_case(0, 0, 12)
         assert scalar_keyings(gaussian_program) == 0
@@ -654,6 +686,35 @@ class TestKeyBlocks:
             assert scalar_keyings(build_program(scm, query, style)) == 0
         # streams discovery never saw fall back to the scalar path
         assert scalar_keyings(coin_branch_program) > 0
+
+    def test_block_choices_build_no_stream(self):
+        # Normal, Bernoulli and the observables' noise are drawn from the
+        # block's raws, and an observed ObservableNormal/Bernoulli absorbs
+        # without a stream; Beta, noisy-OR and unseen branches need one
+        def streams_built(program):
+            return _calls_after_discovery(program, RandomStream, "__init__")
+
+        scm, query = generate_case(0, 0, 12)
+        assert streams_built(gaussian_program) == 0
+        for style in ("eager", "lazy"):
+            assert streams_built(build_program(scm, query, style)) == 0
+        for program in (noisy_or_program, beta_program, coin_branch_program):
+            assert streams_built(program) > 0
+
+    @pytest.mark.parametrize(
+        "program",
+        ["eager", "lazy", gaussian_program, noisy_or_program, beta_program,
+         coin_branch_program, uniform_program, proposal_program],
+    )
+    def test_log_weight_is_the_fsum_of_entry_terms(self, program):
+        # the engine adds each entry's term as it records it; the sum must
+        # read the same as entry_contribution over the finished trace
+        if isinstance(program, str):
+            program = build_program(*generate_case(0, 0, 12), program)
+        res = wi.run_inference(program, 2 * BLOCK + 3, seed=21, keep_traces=True)
+        for abd, _ in res.traces:
+            terms = [t for t in map(entry_contribution, abd.entries.values()) if t != 0.0]
+            assert math.fsum(terms).hex() == abd.log_weight.hex()
 
     def test_golden_estimates(self):
         # recorded before samples were keyed in blocks

@@ -296,6 +296,22 @@ class TestJson:
         with pytest.raises(ValueError, match="node 'y'"):
             scm_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "node, where",
+        [
+            ({"id": "x", "kind": "prior", "p": 10**400}, "node 'x': p"),
+            ({"id": "x", "kind": "dependent", "parents": ["r"], "theta": [-(10**400)],
+              "q": 0.5}, "node 'x': theta"),
+            ({"kind": "dependent", "parents": ["r"], "theta": [1.0], "q": 10**400},
+             "nodes\\[1\\]: q"),
+        ],
+    )
+    def test_integer_past_the_float_range_names_node_and_field(self, node, where):
+        # was an OverflowError from float()
+        doc = {"nodes": [{"id": "r", "kind": "prior", "p": 0.5}, node]}
+        with pytest.raises(ValueError, match=f"model: {where} is too large for a float"):
+            scm_from_json(doc)
+
     def test_load_model_reports_json_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n "nodes": [\n broken\n]}\n')
