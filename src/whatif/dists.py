@@ -27,6 +27,12 @@ observable members absorb by inverting output(), drawing nothing, and
 take stream None.  Beta's rejection loop and ObservableNoisyOr's
 per-parent noises draw an unbounded or larger count and keep the stream.
 
+Every spec is a slotted value object: equal by its fields, not hashable,
+and never written to by the engine, so a program may build one once and
+pass it in every execution, as scm.build_program does.  A spec is built
+for nearly every choice, so they are not frozen: a frozen dataclass pays
+an object.__setattr__ per field.
+
 Densities are returned in nats.  Zero-probability outcomes score -inf.
 """
 
@@ -47,7 +53,7 @@ def _bernoulli_log_mass(p_true: float, value: bool) -> float:
     return math.log1p(-p_true) if p_true < 1.0 else _NEG_INF
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Normal:
     mean: float
     std: float
@@ -67,7 +73,7 @@ class Normal:
         return self.draw(stream.next_raw(), stream.next_raw())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Bernoulli:
     p: float
 
@@ -85,7 +91,7 @@ class Bernoulli:
         return self.draw(stream.next_raw())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Uniform:
     lo: float
     hi: float
@@ -125,7 +131,7 @@ def _gamma_sample(stream: RandomStream, shape: float) -> float:
             return d * v
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Beta:
     a: float
     b: float
@@ -147,7 +153,7 @@ class Beta:
         return g1 / (g1 + g2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Delta:
     """Point mass; scoring compares values exactly (no tolerance)."""
 
@@ -160,7 +166,7 @@ class Delta:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ObservableNormal:
     """output = mean + noise, noise ~ Normal(0, noise_std)."""
 
@@ -191,7 +197,7 @@ class ObservableNormal:
         return float(observed), observed - self.mean, 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ObservableBernoulli:
     """output = f_value xor noise, noise ~ Bernoulli(flip_prob).
 
@@ -225,7 +231,7 @@ class ObservableBernoulli:
         return bool(observed), bool(self.f_value) != bool(observed), 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ObservableNoisyOr:
     """Noisy-OR gate with explicit activation noises.
 
@@ -241,10 +247,8 @@ class ObservableNoisyOr:
     parent_states: tuple[bool, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(
-            self, "parent_states", tuple(bool(s) for s in self.parent_states)
-        )
+        self.lambdas = tuple(self.lambdas)
+        self.parent_states = tuple(bool(s) for s in self.parent_states)
         if len(self.lambdas) != len(self.parent_states):
             raise ValueError(
                 f"ObservableNoisyOr got {len(self.lambdas)} lambdas for "

@@ -7,8 +7,9 @@ the TraceEntry the context recorded for it (address, realized value), so
 a choice is one object and one entry: an observable's entry also carries
 its explicit noise.  The trace keyed by address is the only address
 registry and the memo of value_if_needed.
-Every procedure goes through one entry point, ExecutionContext.sample,
-which hands it to the handler of the current phase:
+Every procedure goes through one entry point, ExecutionContext._choose
+(behind sample and the family constructors), which hands it to the
+handler of the current phase:
 
   discovery   one execution that records the query structure: which
               addresses are observed or intervened, the predict labels,
@@ -48,6 +49,18 @@ ObservableNoisyOr start a stream from the block.  Any other stream (a
 branch discovery never took, replay's @cf redraws), and the one
 execution that discover, abduction_sample and counterfactual_replay each
 run, take the scalar keyed_stream path, which gives the same bits.
+
+What abduction does at an address (force it, absorb evidence, draw from
+block column j, or draw from a stream) depends only on the plan, the
+block's columns and the family, so each chunk of samples works it out
+once per address discovery saw, with _abduction_action, the one rule,
+and keeps the answers in an action table keyed by address.  A choice
+whose family matches the table's costs one lookup there; any other
+choice (an address discovery never saw, another family at the address,
+every choice of a single execution) asks the rule again.  Replay copies
+a choice that no do forces and no tainted parent reaches straight from
+the abducted trace.  run_inference counts the executions of each phase
+and times them (InferenceResult.executions and .phase_seconds).
 """
 
 from __future__ import annotations
@@ -104,6 +117,7 @@ REPLAY_STREAM_SUFFIX = "@cf"
 # Samples keyed together by one rng.key_block pass in _run_chunk.
 BLOCK = 128
 _NO_COLUMNS: dict[str, int] = {}
+_NO_ACTIONS: dict[str, tuple] = {}
 _NEG_INF = float("-inf")
 
 
@@ -167,6 +181,7 @@ class ExecutionContext:
         "_key",
         "_columns",
         "_starts",
+        "_actions",
         "_auto",
         "_tainted",
         "_pred_i",
@@ -180,6 +195,7 @@ class ExecutionContext:
         columns: dict[str, int],
         starts: list | None,
         abducted: Trace | None,
+        actions: dict[Address, tuple],
     ):
         self.phase = phase
         self.plan = plan
@@ -189,6 +205,8 @@ class ExecutionContext:
         # starts[columns[name]]: base and pre-drawn raws of stream name (rng.key_block)
         self._columns = columns
         self._starts = starts
+        # addr -> _abduction_action's answer for the family discovery saw there
+        self._actions = actions
         self._auto = 0
         self._tainted: set[Address] = set()
         self._pred_i = 0
@@ -202,6 +220,41 @@ class ExecutionContext:
         reusing an address is a collision, caught when it is recorded.
         Only plain families draw their value, so only they take a proposal.
         """
+        return self._choose(spec, name, depends_on, proposal)
+
+    def normal(self, mean, std, *, name=None, depends_on=()) -> Choice:
+        return self._choose(Normal(mean, std), name, depends_on, None)
+
+    def bernoulli(self, p, *, name=None, depends_on=()) -> Choice:
+        return self._choose(Bernoulli(p), name, depends_on, None)
+
+    def uniform(self, lo, hi, *, name=None, depends_on=()) -> Choice:
+        return self._choose(Uniform(lo, hi), name, depends_on, None)
+
+    def beta(self, a, b, *, name=None, depends_on=()) -> Choice:
+        return self._choose(Beta(a, b), name, depends_on, None)
+
+    def delta(self, value, *, name=None, depends_on=()) -> Choice:
+        return self._choose(Delta(value), name, depends_on, None)
+
+    def observable_normal(self, mean, noise_std, *, name=None, depends_on=()) -> Choice:
+        return self._choose(ObservableNormal(mean, noise_std), name, depends_on, None)
+
+    def observable_bernoulli(
+        self, f_value, flip_prob, *, name=None, depends_on=()
+    ) -> Choice:
+        return self._choose(
+            ObservableBernoulli(bool(f_value), flip_prob), name, depends_on, None
+        )
+
+    def observable_noisy_or(
+        self, lambda0, lambdas, parent_states, *, name=None, depends_on=()
+    ) -> Choice:
+        spec = ObservableNoisyOr(lambda0, lambdas, parent_states)
+        return self._choose(spec, name, depends_on, None)
+
+    def _choose(self, spec, name, depends_on, proposal) -> Choice:
+        """The one entry of every choice, by position, for sample and the constructors."""
         if name is None:
             addr = f"auto:{self._auto}"
             self._auto += 1
@@ -209,53 +262,34 @@ class ExecutionContext:
             addr = name
         if proposal is not None and type(spec) not in PLAIN_FAMILIES:
             raise EngineError(f"{type(spec).__name__} at {addr!r} takes no proposal")
-        parents = tuple([c.address for c in depends_on]) if depends_on else ()
+        if depends_on:
+            try:
+                parents = tuple([c.address for c in depends_on])
+            except (AttributeError, TypeError):
+                raise EngineError(
+                    f"depends_on of {addr!r} must be a list of the choice handles "
+                    f"it depends on, got {depends_on!r}"
+                ) from None
+        else:
+            parents = ()
         phase = self.phase
-        if phase == DISCOVERY:
-            self.plan.parents[addr] = parents
-            self.plan.families[addr] = type(spec)
-            return self._forward(addr, spec, parents, proposal)
         if phase == ABDUCTION:
-            return self._abduct(addr, spec, parents, proposal)
-        return self._replay(addr, spec, parents)
-
-    def normal(self, mean, std, *, name=None, depends_on=()) -> Choice:
-        return self.sample(Normal(mean, std), name=name, depends_on=depends_on)
-
-    def bernoulli(self, p, *, name=None, depends_on=()) -> Choice:
-        return self.sample(Bernoulli(p), name=name, depends_on=depends_on)
-
-    def uniform(self, lo, hi, *, name=None, depends_on=()) -> Choice:
-        return self.sample(Uniform(lo, hi), name=name, depends_on=depends_on)
-
-    def beta(self, a, b, *, name=None, depends_on=()) -> Choice:
-        return self.sample(Beta(a, b), name=name, depends_on=depends_on)
-
-    def delta(self, value, *, name=None, depends_on=()) -> Choice:
-        return self.sample(Delta(value), name=name, depends_on=depends_on)
-
-    def observable_normal(self, mean, noise_std, *, name=None, depends_on=()) -> Choice:
-        return self.sample(
-            ObservableNormal(mean, noise_std), name=name, depends_on=depends_on
-        )
-
-    def observable_bernoulli(
-        self, f_value, flip_prob, *, name=None, depends_on=()
-    ) -> Choice:
-        return self.sample(
-            ObservableBernoulli(bool(f_value), flip_prob),
-            name=name,
-            depends_on=depends_on,
-        )
-
-    def observable_noisy_or(
-        self, lambda0, lambdas, parent_states, *, name=None, depends_on=()
-    ) -> Choice:
-        return self.sample(
-            ObservableNoisyOr(lambda0, tuple(lambdas), tuple(parent_states)),
-            name=name,
-            depends_on=depends_on,
-        )
+            act = self._actions.get(addr)
+            if act is None or act[0] is not type(spec):
+                return self._abduct(addr, spec, parents, proposal)
+            return act[1](self, addr, spec, parents, proposal, act[2])
+        if phase == REPLAY:
+            if addr in self.plan.interventions:
+                return self._forced(addr, parents)  # replay forces both kinds
+            tainted = self._tainted
+            prev = self.abducted.entries.get(addr)
+            if prev is not None and (not tainted or tainted.isdisjoint(parents)):
+                # Not downstream of a cf intervention: the abducted world carries over.
+                return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents, prev.noise)
+            return self._replay(addr, spec, parents, prev)
+        self.plan.parents[addr] = parents
+        self.plan.families[addr] = type(spec)
+        return self._forward(addr, spec, parents, proposal)
 
     # -- phase-specific instantiation -------------------------------------
 
@@ -285,60 +319,61 @@ class ExecutionContext:
     def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
         """Sample from the prior or proposal with no evidence applied.
 
-        A RAW_FAMILIES choice whose stream the key block holds is drawn
-        from the block's raws.  Replay passes REPLAY_STREAM_SUFFIX to
-        redraw on a stream of its own, which no block holds, independent
-        of the abducted draws at the same address.
+        The draw comes from a stream; a choice abduction draws from the
+        key block's raws goes through _draw or _draw_noise instead.
+        Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream of its
+        own, which no block holds, independent of the abducted draws at
+        the same address.
         """
         fam = type(spec)
         if fam is Delta:
             return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
         if fam in PLAIN_FAMILIES:
-            j = None if suffix or fam not in RAW_FAMILIES else self._columns.get(addr)
-            if j is None:
-                value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
-            else:
-                _, raw1, raw2 = self._starts[j]
-                value, lp, lq = draw_and_score(spec, raw1, raw2, proposal)
+            value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
             term = lp if lp == _NEG_INF else lp - lq  # a latent's entry_contribution
             return self._record(addr, value, lp, lq, LATENT, parents, None, term)
-        name = addr + NOISE_SUFFIX
-        j = None if suffix or fam not in RAW_FAMILIES else self._columns.get(name)
-        if j is None:
-            noise = spec.sample_noise(self._stream(name + suffix))
-        else:
-            _, raw1, raw2 = self._starts[j]
-            noise = spec.draw_noise(raw1, raw2)
+        noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
+
+    def _draw(self, addr, spec, parents, proposal, j) -> Choice:
+        """A plain RAW_FAMILIES choice drawn from key-block column j's raws."""
+        _, raw1, raw2 = self._starts[j]
+        value, lp, lq = draw_and_score(spec, raw1, raw2, proposal)
+        term = lp if lp == _NEG_INF else lp - lq
+        return self._record(addr, value, lp, lq, LATENT, parents, None, term)
+
+    def _draw_noise(self, addr, spec, parents, proposal, j) -> Choice:
+        """An observable RAW_FAMILIES choice whose noise is drawn from column j's raws."""
+        _, raw1, raw2 = self._starts[j]
+        noise = spec.draw_noise(raw1, raw2)
+        return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
+
+    def _intervened(self, addr, spec, parents, proposal, value) -> Choice:
+        """addr forced to value by an iv do in abduction."""
+        return self._record(addr, value, 0.0, 0.0, INTERVENED, parents)
 
     def _forced(self, addr, parents) -> Choice | None:
         """The intervened entry of addr if a do forces it in this phase.
 
-        An iv do forces in abduction and replay; a cf do forces only in
-        replay, and there it taints addr.  Discovery forces nothing.
+        A cf do that forces addr taints it (see _forcing).
         """
-        iv = self.plan.interventions.get(addr)
+        iv = _forcing(self.plan, self.phase, addr)
         if iv is None:
             return None
         if iv.kind == CF:
-            if self.phase != REPLAY:
-                return None
             self._tainted.add(addr)
-        elif self.phase == DISCOVERY:
-            return None
         return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
 
     def _abduct(self, addr, spec, parents, proposal) -> Choice:
-        plan = self.plan
-        if addr in plan.interventions:
-            forced = self._forced(addr, parents)
-            if forced is not None:
-                return forced
-        if addr in plan.observed:
-            return self._absorb(addr, spec, parents, plan.observed[addr])
-        return self._forward(addr, spec, parents, proposal)
+        """Abduction at an address the execution's action table does not answer.
 
-    def _absorb(self, addr, spec, parents, observed) -> Choice:
+        That is an address discovery never saw, another family than
+        discovery saw there, or any address of a single execution.
+        """
+        _, act, arg = _abduction_action(self.plan, self._columns, addr, type(spec))
+        return act(self, addr, spec, parents, proposal, arg)
+
+    def _absorb(self, addr, spec, parents, proposal, observed) -> Choice:
         """Condition the procedure at addr on its observed value.
 
         Observable families pin their noise to the observation and score
@@ -361,36 +396,26 @@ class ExecutionContext:
         loglik = spec.noise_log_prior(noise) - log_q
         return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise, loglik)
 
-    def _replay(self, addr, spec, parents) -> Choice:
-        """Rerun one choice in the counterfactual world.
+    def _replay(self, addr, spec, parents, prev) -> Choice:
+        """Rerun one choice that is downstream of a cf intervention.
 
-        A choice is downstream of a cf intervention, "tainted", when it
-        is cf-forced, falls back to its prior, or declares a tainted
-        parent.  Programs create parents before children, so this
-        per-execution taint is exact even where control flow differs
-        from the discovery execution.
+        A choice is downstream, "tainted", when it is cf-forced, falls
+        back to its prior, or declares a tainted parent.  Programs create
+        parents before children, so this per-execution taint is exact
+        even where control flow differs from the discovery execution.
+        _choose forces and copies every other choice; prev is the
+        abducted entry at addr, or None.
         """
-        plan = self.plan
-        if addr in plan.interventions:
-            forced = self._forced(addr, parents)
-            if forced is not None:
-                return forced
-        tainted = self._tainted
-        prev = self.abducted.entries.get(addr)
+        self._tainted.add(addr)
         if prev is None:
             # Control flow opened by an intervention: no abducted value
             # exists, so the choice falls back to its prior.
-            if not plan.interventions:
+            if not self.plan.interventions:
                 raise StaleTraceError(
                     f"stale trace: address {addr!r} missing from the abducted "
                     "trace with no intervention to explain it"
                 )
-            tainted.add(addr)
             return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
-        if not tainted or tainted.isdisjoint(parents):
-            # Not downstream of a cf intervention: the abducted world carries over.
-            return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents, prev.noise)
-        tainted.add(addr)
         if type(spec) in OBSERVABLE_FAMILIES:
             noise = prev.noise
             return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
@@ -520,6 +545,43 @@ class ExecutionContext:
         return self.phase == DISCOVERY
 
 
+def _forcing(plan: QueryPlan, phase: int, addr: Address) -> Intervention | None:
+    """The do that forces addr in phase, or None.
+
+    An iv do forces in abduction and replay; a cf do forces only in
+    replay, and there it taints addr.  Discovery forces nothing.
+    """
+    iv = plan.interventions.get(addr)
+    if iv is None or phase == DISCOVERY or (iv.kind == CF and phase != REPLAY):
+        return None
+    return iv
+
+
+def _abduction_action(plan: QueryPlan, columns: dict[str, int], addr: Address,
+                      fam: type) -> tuple:
+    """What abduction does with a fam choice at addr: (fam, act, arg).
+
+    The one rule for abduction.  _run_chunk caches its answer for every
+    address discovery saw, and ExecutionContext._abduct asks it where that
+    table has none.  act(ctx, addr, spec, parents, proposal, arg) makes
+    the entry: a do that forces addr records the do's value; evidence at
+    addr is absorbed; a RAW_FAMILIES choice whose stream the key block
+    holds is drawn from the raws in column arg; anything else is drawn
+    forward from a stream.
+    """
+    iv = _forcing(plan, ABDUCTION, addr)
+    if iv is not None:
+        return fam, ExecutionContext._intervened, iv.value
+    if addr in plan.observed:
+        return fam, ExecutionContext._absorb, plan.observed[addr]
+    if fam in RAW_FAMILIES:
+        plain = fam in PLAIN_FAMILIES
+        j = columns.get(addr if plain else addr + NOISE_SUFFIX)
+        if j is not None:
+            return fam, ExecutionContext._draw if plain else ExecutionContext._draw_noise, j
+    return fam, ExecutionContext._forward, ""
+
+
 # -- plan construction -----------------------------------------------------
 
 
@@ -563,8 +625,8 @@ def _check_endogeneity(plan: QueryPlan) -> None:
 
 
 def _execute(program, plan, phase, key, columns=_NO_COLUMNS, starts=None,
-             abducted=None) -> Trace:
-    ctx = ExecutionContext(phase, plan, key, columns, starts, abducted)
+             abducted=None, actions=_NO_ACTIONS) -> Trace:
+    ctx = ExecutionContext(phase, plan, key, columns, starts, abducted, actions)
     if abducted is not None:
         ctx.trace.accumulate(abducted.log_weight)
     program(ctx)
@@ -598,6 +660,9 @@ class InferenceResult:
     wall_seconds: float
     degenerate: bool = False
     traces: list | None = None
+    # per phase ("discovery", "abduction", "replay"): executions run, and their wall time
+    executions: dict[str, int] = field(default_factory=dict)
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _stream_names(plan: QueryPlan) -> list[str]:
@@ -610,20 +675,34 @@ def _stream_names(plan: QueryPlan) -> list[str]:
 
 
 def _run_chunk(program, plan, seed, keep_traces, lo, hi):
-    """Run samples lo..hi-1, keying them one BLOCK-aligned block at a time."""
+    """Run samples lo..hi-1, keying them one BLOCK-aligned block at a time.
+
+    Returns (predictions, log-weights, rejected count, traces, abduction
+    and replay execution counts, abduction and replay seconds).
+    """
     preds: list[dict[str, Value]] = []
     lws: list[float] = []
     traces = [] if keep_traces else None
-    n_rejected = 0
+    n_rejected = n_abd = n_rep = 0
+    abd_s = rep_s = 0.0
     names = _stream_names(plan)
     columns = {name: j for j, name in enumerate(names)}
+    actions = {addr: _abduction_action(plan, columns, addr, fam)
+               for addr, fam in plan.families.items()}
     needs_replay = plan.needs_replay
+    clock = time.perf_counter
+    # Two clock reads per replayed sample, one per other sample: keying
+    # and the loop's own work count toward abduction.
+    t0 = clock()
     for start in range(lo - lo % BLOCK, hi, BLOCK):
         keys, table = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
         for r, key in enumerate(keys):
             # converted one sample at a time, so a block holds only its numpy table
             starts = table[r].tolist()
-            abd = _execute(program, plan, ABDUCTION, key, columns, starts)
+            abd = _execute(program, plan, ABDUCTION, key, columns, starts, None, actions)
+            t0, t1 = clock(), t0
+            abd_s += t0 - t1
+            n_abd += 1
             rejected = abd.rejected
             if rejected:
                 n_rejected += 1
@@ -631,12 +710,15 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
             rep = None
             if needs_replay and not rejected:
                 rep = _execute(program, plan, REPLAY, key, columns, starts, abd)
+                t0, t1 = clock(), t0
+                rep_s += t0 - t1
+                n_rep += 1
                 merged.update(rep.predictions)
             preds.append(merged)
             lws.append(abd.log_weight)
             if traces is not None:
                 traces.append((abd, rep))
-    return preds, lws, n_rejected, traces
+    return preds, lws, n_rejected, traces, (n_abd, n_rep), (abd_s, rep_s)
 
 
 def run_inference(
@@ -654,9 +736,14 @@ def run_inference(
     worker count only partitions the sample indices and never changes a
     single bit of the output.  Rejected samples (log-weight -inf) are
     retained with zero normalized weight; if every sample is rejected
-    the result is flagged degenerate.
+    the result is flagged degenerate.  The result also counts the
+    executions of each phase and sums their wall time over workers.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    t0 = time.perf_counter()
     plan = discover(program, seed=seed, strict_endogeneity=strict_endogeneity)
+    discovery_s = time.perf_counter() - t0
     job = (program, plan, seed, keep_traces)
     t0 = time.perf_counter()
     if workers <= 1 or n_samples < 2:
@@ -671,24 +758,29 @@ def run_inference(
     wall = time.perf_counter() - t0
     predictions: list[dict[str, Value]] = []
     lws: list[float] = []
-    n_rejected = 0
+    n_rejected = n_abd = n_rep = 0
+    abd_s = rep_s = 0.0
     traces = [] if keep_traces else None
-    for preds, chunk_lws, rej, chunk_traces in parts:
+    for preds, chunk_lws, rej, chunk_traces, (abd, rep), (abd_t, rep_t) in parts:
         predictions.extend(preds)
         lws.extend(chunk_lws)
         n_rejected += rej
+        n_abd += abd
+        n_rep += rep
+        abd_s += abd_t
+        rep_s += rep_t
         if traces is not None:
             traces.extend(chunk_traces)
-    log_weights = np.asarray(lws, dtype=float)
-    degenerate = n_samples > 0 and n_rejected == n_samples
     return InferenceResult(
         predictions=predictions,
-        log_weights=log_weights,
+        log_weights=np.asarray(lws, dtype=float),
         n_samples=n_samples,
         n_rejected=n_rejected,
         wall_seconds=wall,
-        degenerate=degenerate,
+        degenerate=n_rejected == n_samples,
         traces=traces,
+        executions={"discovery": 1, "abduction": n_abd, "replay": n_rep},
+        phase_seconds={"discovery": discovery_s, "abduction": abd_s, "replay": rep_s},
     )
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 
@@ -9,6 +10,7 @@ from whatif import engine
 from whatif.dists import Bernoulli, Normal, Uniform
 from whatif.engine import (
     BLOCK,
+    ExecutionContext,
     abduction_sample,
     counterfactual_replay,
     descendant_closure,
@@ -384,6 +386,72 @@ class TestStatements:
             with pytest.raises(wi.AddressCollisionError, match=f"'{addr}' already recorded"):
                 wi.run_inference(program, 3, seed=0)
 
+    @pytest.mark.parametrize("depends_on", ["values", "bare handle"])
+    def test_depends_on_misuse_names_the_address(self, depends_on):
+        def program(ctx):
+            x = ctx.normal(0, 1, name="x")
+            parents = [x.value] if depends_on == "values" else x
+            ctx.observable_normal(x.value, 1, name="y", depends_on=parents)
+            ctx.predict(x.value, label="x")
+
+        with pytest.raises(EngineError, match="depends_on of 'y'"):
+            wi.run_inference(program, 1, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_below_one_refused_before_discovery(self, n):
+        calls = [0]
+
+        def program(ctx):
+            calls[0] += 1
+            two_node_program(ctx)
+
+        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
+            wi.run_inference(program, n, seed=0)
+        assert calls[0] == 0
+
+
+class TestExecutionCounts:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_counterfactual_counts_one_n_and_n(self, workers):
+        n = 2 * BLOCK + 3
+        res = wi.run_inference(gaussian_program, n, seed=5, workers=workers)
+        assert res.executions == {"discovery": 1, "abduction": n, "replay": n}
+        assert set(res.phase_seconds) == set(res.executions)
+        assert all(t > 0.0 for t in res.phase_seconds.values())
+
+    def test_rejected_samples_are_not_replayed(self):
+        def program(ctx):
+            c = ctx.bernoulli(0.5, name="c")
+            d = ctx.delta(c.value, name="d", depends_on=[c])
+            ctx.observe(d, True)
+            ctx.do(c, False, kind=wi.CF)
+            ctx.predict(d.value, label="d")
+
+        res = wi.run_inference(program, 300, seed=8)
+        assert 0 < res.n_rejected < 300
+        assert res.executions == {
+            "discovery": 1, "abduction": 300, "replay": 300 - res.n_rejected,
+        }
+
+    def test_no_cf_do_runs_no_replay(self):
+        res = wi.run_inference(lambda ctx: two_node_program(ctx, kind=wi.IV), 50, seed=0)
+        assert res.executions == {"discovery": 1, "abduction": 50, "replay": 0}
+        assert res.phase_seconds["replay"] == 0.0
+
+    def test_worker_count_leaves_counts_alone(self):
+        def program(ctx):
+            c = ctx.bernoulli(0.3, name="c")
+            y = ctx.observable_bernoulli(c.value, 0.0, name="y", depends_on=[c])
+            ctx.observe(y, True)
+            ctx.do(c, False, kind=wi.CF)
+            ctx.predict(y.value, label="y")
+
+        one = wi.run_inference(program, 400, seed=4, workers=1)
+        three = wi.run_inference(program, 400, seed=4, workers=3)
+        assert 0 < one.n_rejected < 400
+        assert one.executions == three.executions
+        assert one.executions["replay"] == 400 - one.n_rejected
+
 
 class TestAddresses:
     def test_auto_addresses_count_unnamed_choices_in_order(self):
@@ -621,6 +689,28 @@ def proposal_program(ctx):
     ctx.predict(y.value or c.value, label="y")
 
 
+def iv_program(ctx):
+    # the key block holds x's stream, but an iv do forces x in every
+    # sampling execution, so its raws are never read
+    x = ctx.normal(0, 1, name="x")
+    z = ctx.normal(0, 1, name="z")
+    y = ctx.observable_normal(x.value + z.value, 0.5, name="y", depends_on=[x, z])
+    ctx.observe(y, 0.7)
+    ctx.do(x, 1.5, kind=wi.IV)
+    ctx.do(z, -1.0, kind=wi.CF)
+    ctx.predict(y.value, label="y")
+
+
+def family_switch_program(ctx):
+    # a coin decides whether "x" is a Normal or a Uniform; discovery saw one
+    coin = ctx.bernoulli(0.5, name="coin")
+    x = ctx.normal(0, 1, name="x") if coin.value else ctx.uniform(-1, 1, name="x")
+    y = ctx.observable_normal(x.value, 0.5, name="y", depends_on=[x])
+    ctx.observe(y, 0.3)
+    ctx.do(x, 0.0, kind=wi.CF)
+    ctx.predict(y.value, label="y")
+
+
 def _one_at_a_time(program, n, seed):
     """run_inference's loop over the single-execution functions."""
     plan = discover(program, seed=seed)
@@ -663,7 +753,7 @@ class TestKeyBlocks:
     @pytest.mark.parametrize(
         "program",
         [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
-         uniform_program, proposal_program],
+         uniform_program, proposal_program, iv_program, family_switch_program],
     )
     @pytest.mark.parametrize("workers", [1, 3])
     def test_blocked_run_matches_single_executions(self, program, workers):
@@ -701,10 +791,36 @@ class TestKeyBlocks:
         for program in (noisy_or_program, beta_program, coin_branch_program):
             assert streams_built(program) > 0
 
+    def test_abduction_actions_resolved_once_per_chunk(self):
+        # the chunk's action table answers every address discovery saw;
+        # only an unseen address or another family there asks the rule
+        def general_path(program):
+            return _calls_after_discovery(program, ExecutionContext, "_abduct")
+
+        scm, query = generate_case(0, 0, 12)
+        assert general_path(gaussian_program) == 0
+        for style in ("eager", "lazy"):
+            assert general_path(build_program(scm, query, style)) == 0
+        assert general_path(family_switch_program) > 0
+        assert general_path(coin_branch_program) > 0
+
+    @pytest.mark.parametrize("style", ["eager", "lazy"])
+    def test_shared_specs_are_never_written(self, style):
+        # build_program builds each spec once and every execution reuses
+        # it; specs are not frozen, so this guards them
+        program = build_program(*generate_case(0, 0, 12), style)
+        nodes = program.keywords["nodes"]
+        before = copy.deepcopy(nodes)
+        wi.run_inference(program, 2 * BLOCK + 3, seed=21)
+        assert [specs for _, specs in nodes.values()] == [
+            specs for _, specs in before.values()
+        ]
+
     @pytest.mark.parametrize(
         "program",
         ["eager", "lazy", gaussian_program, noisy_or_program, beta_program,
-         coin_branch_program, uniform_program, proposal_program],
+         coin_branch_program, uniform_program, proposal_program, iv_program,
+         family_switch_program],
     )
     def test_log_weight_is_the_fsum_of_entry_terms(self, program):
         # the engine adds each entry's term as it records it; the sum must
