@@ -40,15 +40,15 @@ order and of how samples are split across workers.  Worker processes
 are forked where the platform allows, so a closure works as a program.
 
 run_inference keys its samples BLOCK at a time: one rng.key_block pass
-computes each sample's key and, for every stream the discovery pass
-saw, the stream's base and first raw draws, which both executions of
-the sample share.  A choice of a dists.RAW_FAMILIES family is computed
-straight from those raws, with no stream built, and an observable of
-such a family absorbs its evidence without one.  Beta and
-ObservableNoisyOr start a stream from the block.  Any other stream (a
-branch discovery never took, replay's @cf redraws), and the one
-execution that discover, abduction_sample and counterfactual_replay each
-run, take the scalar keyed_stream path, which gives the same bits.
+computes each sample's key and, for every stream abduction reads at an
+address the discovery pass saw, the stream's base and first raw draws.
+A choice of a dists.RAW_FAMILIES family is computed straight from those
+raws, with no stream built, and an observable of such a family absorbs
+its evidence without one.  Beta and ObservableNoisyOr start a stream
+from the block.  Any other stream (a branch discovery never took,
+replay's @cf redraws), and the one execution that discover,
+abduction_sample and counterfactual_replay each run, take the scalar
+keyed_stream path, which gives the same bits.
 
 What abduction does at an address (force it, absorb evidence, draw from
 block column j, or draw from a stream) depends only on the plan, the
@@ -59,8 +59,12 @@ whose family matches the table's costs one lookup there; any other
 choice (an address discovery never saw, another family at the address,
 every choice of a single execution) asks the rule again.  Replay copies
 a choice that no do forces and no tainted parent reaches straight from
-the abducted trace.  run_inference counts the executions of each phase
-and times them (InferenceResult.executions and .phase_seconds).
+the abducted trace.  A chunk builds one abduction and one replay
+context and rearms them for each sample (ExecutionContext._run), so a
+context is valid only during the call it is passed to.  A replay trace
+starts holding the abducted log-weight as its one term; a rejected
+sample is never replayed.  run_inference counts the executions of each
+phase and times them (InferenceResult.executions and .phase_seconds).
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ def descendant_closure(
 
 
 class ExecutionContext:
-    """One program execution: issues addresses, records a trace.
+    """A phase's program executions: issues addresses, records a trace per execution.
 
     Programs should treat this as their sole source of randomness and
     side effects; the same program must request the same addresses in
@@ -187,29 +191,37 @@ class ExecutionContext:
         "_pred_i",
     )
 
-    def __init__(
-        self,
-        phase: int,
-        plan: QueryPlan,
-        key: int,
-        columns: dict[str, int],
-        starts: list | None,
-        abducted: Trace | None,
-        actions: dict[Address, tuple],
-    ):
+    def __init__(self, phase: int, plan: QueryPlan, columns: dict[str, int] = _NO_COLUMNS,
+                 actions: dict[Address, tuple] = _NO_ACTIONS):
         self.phase = phase
         self.plan = plan
-        self.trace = Trace()
-        self.abducted = abducted
-        self._key = key  # the execution's sample_key
         # starts[columns[name]]: base and pre-drawn raws of stream name (rng.key_block)
         self._columns = columns
-        self._starts = starts
         # addr -> _abduction_action's answer for the family discovery saw there
         self._actions = actions
-        self._auto = 0
-        self._tainted: set[Address] = set()
-        self._pred_i = 0
+        self.trace = self.abducted = self._starts = self._tainted = None
+        self._key = self._auto = self._pred_i = 0
+
+    def _run(self, program, key: int, starts: list | None = None,
+             abducted: Trace | None = None, log_weight: float = 0.0) -> Trace:
+        """Rearm the context for one execution of program and return its trace.
+
+        One context per phase serves a whole chunk of samples.  Rearming
+        gives it a fresh trace, the sample's key and starts and zeroed
+        counters; a replay also gets a fresh taint set and the abducted
+        trace, and its trace starts at log_weight, the abducted weight, as
+        its one term (replay adds no non-zero term, and fsum([w]) == w).
+        """
+        self.trace = trace = Trace()
+        self._key = key
+        self._starts = starts
+        self._auto = self._pred_i = 0
+        if abducted is not None:
+            self.abducted = abducted
+            self._tainted = set()
+            trace.terms.append(log_weight)
+        program(self)
+        return trace
 
     # -- procedure constructors -------------------------------------------
 
@@ -279,8 +291,9 @@ class ExecutionContext:
                 return self._abduct(addr, spec, parents, proposal)
             return act[1](self, addr, spec, parents, proposal, act[2])
         if phase == REPLAY:
-            if addr in self.plan.interventions:
-                return self._forced(addr, parents)  # replay forces both kinds
+            iv = self.plan.interventions.get(addr)
+            if iv is not None:
+                return self._forced(addr, parents, iv)  # replay forces both kinds
             tainted = self._tainted
             prev = self.abducted.entries.get(addr)
             if prev is not None and (not tainted or tainted.isdisjoint(parents)):
@@ -313,7 +326,9 @@ class ExecutionContext:
             raise AddressCollisionError(f"address collision: {addr!r} already recorded")
         entry = trace.entries[addr] = TraceEntry(addr, value, lp, lq, role, parents, noise)
         if term != 0.0:
-            trace.accumulate(term)
+            if term != term:
+                trace.accumulate(term)  # NaN: raises InvalidWeightError
+            trace.terms.append(term)
         return entry
 
     def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
@@ -352,14 +367,8 @@ class ExecutionContext:
         """addr forced to value by an iv do in abduction."""
         return self._record(addr, value, 0.0, 0.0, INTERVENED, parents)
 
-    def _forced(self, addr, parents) -> Choice | None:
-        """The intervened entry of addr if a do forces it in this phase.
-
-        A cf do that forces addr taints it (see _forcing).
-        """
-        iv = _forcing(self.plan, self.phase, addr)
-        if iv is None:
-            return None
+    def _forced(self, addr, parents, iv: Intervention) -> Choice:
+        """The intervened entry of addr, forced by the do iv; a cf do taints addr."""
         if iv.kind == CF:
             self._tainted.add(addr)
         return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
@@ -525,9 +534,9 @@ class ExecutionContext:
         if got is not None:
             return got
         if name in self.plan.interventions:
-            forced = self._forced(name, ())
-            if forced is not None:
-                return forced
+            iv = _forcing(self.plan, self.phase, name)
+            if iv is not None:
+                return self._forced(name, (), iv)
         choice = thunk()
         if not isinstance(choice, Choice) or choice.address != name:
             raise EngineError(
@@ -588,7 +597,7 @@ def _abduction_action(plan: QueryPlan, columns: dict[str, int], addr: Address,
 def discover(program, *, seed: int = 0, strict_endogeneity: bool = False) -> QueryPlan:
     """Run the discovery pass and return the finalized query plan."""
     plan = QueryPlan()
-    _execute(program, plan, DISCOVERY, sample_key(seed, -1))
+    ExecutionContext(DISCOVERY, plan)._run(program, sample_key(seed, -1))
     if strict_endogeneity:
         _check_endogeneity(plan)
     return plan
@@ -624,18 +633,9 @@ def _check_endogeneity(plan: QueryPlan) -> None:
 # -- sampling --------------------------------------------------------------
 
 
-def _execute(program, plan, phase, key, columns=_NO_COLUMNS, starts=None,
-             abducted=None, actions=_NO_ACTIONS) -> Trace:
-    ctx = ExecutionContext(phase, plan, key, columns, starts, abducted, actions)
-    if abducted is not None:
-        ctx.trace.accumulate(abducted.log_weight)
-    program(ctx)
-    return ctx.trace
-
-
 def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int) -> Trace:
     """One importance sample of the posterior described by the plan."""
-    return _execute(program, plan, ABDUCTION, sample_key(seed, sample_index))
+    return ExecutionContext(ABDUCTION, plan)._run(program, sample_key(seed, sample_index))
 
 
 def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
@@ -646,7 +646,8 @@ def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
     draws either carry over, are recomputed deterministically, or are
     prior draws whose contribution is exactly zero.
     """
-    return _execute(program, plan, REPLAY, sample_key(seed, sample_index), abducted=trace)
+    key = sample_key(seed, sample_index)
+    return ExecutionContext(REPLAY, plan)._run(program, key, None, trace, trace.log_weight)
 
 
 @dataclass
@@ -665,18 +666,28 @@ class InferenceResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _stream_names(plan: QueryPlan) -> list[str]:
-    """The stream each choice seen in discovery draws from in abduction."""
-    return [
-        addr if fam in PLAIN_FAMILIES else addr + NOISE_SUFFIX
-        for addr, fam in plan.families.items()
-        if fam is not Delta
-    ]
+def _block_columns(plan: QueryPlan) -> dict[str, int]:
+    """Key-block column of each stream abduction reads at an address discovery saw.
+
+    Those are the draws _abduction_action takes from the raws, and the
+    streams Beta and noisy-OR start from the block where no do forces them.
+    """
+    draws = (ExecutionContext._draw, ExecutionContext._draw_noise)
+    columns: dict[str, int] = {}
+    for addr, fam in plan.families.items():
+        if fam is Delta:
+            continue
+        name = addr if fam in PLAIN_FAMILIES else addr + NOISE_SUFFIX
+        _, act, _ = _abduction_action(plan, {name: 0}, addr, fam)
+        if act in draws or (fam not in RAW_FAMILIES and act is not ExecutionContext._intervened):
+            columns[name] = len(columns)
+    return columns
 
 
 def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     """Run samples lo..hi-1, keying them one BLOCK-aligned block at a time.
 
+    One abduction and one replay context serve every sample of the chunk.
     Returns (predictions, log-weights, rejected count, traces, abduction
     and replay execution counts, abduction and replay seconds).
     """
@@ -685,11 +696,13 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     traces = [] if keep_traces else None
     n_rejected = n_abd = n_rep = 0
     abd_s = rep_s = 0.0
-    names = _stream_names(plan)
-    columns = {name: j for j, name in enumerate(names)}
+    columns = _block_columns(plan)
+    names = list(columns)
     actions = {addr: _abduction_action(plan, columns, addr, fam)
                for addr, fam in plan.families.items()}
-    needs_replay = plan.needs_replay
+    abduct = ExecutionContext(ABDUCTION, plan, columns, actions)._run
+    # replay reads no block column: its redraws use @cf streams
+    replay = ExecutionContext(REPLAY, plan)._run if plan.needs_replay else None
     clock = time.perf_counter
     # Two clock reads per replayed sample, one per other sample: keying
     # and the loop's own work count toward abduction.
@@ -698,24 +711,24 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
         keys, table = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
         for r, key in enumerate(keys):
             # converted one sample at a time, so a block holds only its numpy table
-            starts = table[r].tolist()
-            abd = _execute(program, plan, ABDUCTION, key, columns, starts, None, actions)
+            abd = abduct(program, key, table[r].tolist())
             t0, t1 = clock(), t0
             abd_s += t0 - t1
             n_abd += 1
-            rejected = abd.rejected
+            lw = abd.log_weight
+            rejected = lw == _NEG_INF
             if rejected:
                 n_rejected += 1
             merged = dict(abd.predictions)
             rep = None
-            if needs_replay and not rejected:
-                rep = _execute(program, plan, REPLAY, key, columns, starts, abd)
+            if replay is not None and not rejected:
+                rep = replay(program, key, None, abd, lw)
                 t0, t1 = clock(), t0
                 rep_s += t0 - t1
                 n_rep += 1
                 merged.update(rep.predictions)
             preds.append(merged)
-            lws.append(abd.log_weight)
+            lws.append(lw)
             if traces is not None:
                 traces.append((abd, rep))
     return preds, lws, n_rejected, traces, (n_abd, n_rep), (abd_s, rep_s)

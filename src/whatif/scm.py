@@ -259,9 +259,9 @@ def _node_choice(ctx, node: ScmNode, specs, parent_choices):
     """Instantiate one node; eager and lazy programs both build it here."""
     if node.kind == PRIOR:
         prior, proposal = specs
-        return ctx.sample(prior, name=node.id, proposal=proposal)
+        return ctx._choose(prior, node.id, (), proposal)  # sample's positional entry
     f_val = linear_threshold(node.theta, [c.value for c in parent_choices])
-    return ctx.sample(specs[f_val], name=node.id, depends_on=parent_choices)
+    return ctx._choose(specs[f_val], node.id, parent_choices, None)
 
 
 def _eager_program(ctx, nodes, query: BenchQuery):

@@ -57,16 +57,18 @@ def entry_contribution(entry: TraceEntry) -> float:
 
 
 class Trace:
-    """Ordered map of trace entries with an accumulated log-weight."""
+    """Ordered map of trace entries with an accumulated log-weight.
 
-    __slots__ = ("entries", "predictions", "_terms", "_running", "_cached")
+    terms holds the log-weight increments in the order they were added
+    (the engine skips zeros, which fsum ignores); the log-weight is their fsum.
+    """
+
+    __slots__ = ("entries", "predictions", "terms")
 
     def __init__(self):
         self.entries: dict[Address, TraceEntry] = {}
         self.predictions: list[tuple[str, Value]] = []
-        self._terms: list[float] = []
-        self._running = 0.0
-        self._cached: float | None = 0.0
+        self.terms: list[float] = []
 
     def record(self, entry: TraceEntry) -> None:
         """Insert an entry and accumulate its weight contribution."""
@@ -85,23 +87,16 @@ class Trace:
         """Add a log-weight increment; -inf absorbs, NaN is an error."""
         if math.isnan(delta):
             raise InvalidWeightError("invalid weight increment: NaN")
-        self._terms.append(delta)
-        self._running += delta  # -inf + anything-but-nan stays -inf
-        self._cached = None
+        self.terms.append(delta)
 
     @property
     def log_weight(self) -> float:
         """Exact order-independent sum of all accumulated increments."""
-        if self._cached is None:
-            if self._running == _NEG_INF:
-                self._cached = _NEG_INF
-            else:
-                self._cached = math.fsum(self._terms)
-        return self._cached
+        return math.fsum(self.terms)
 
     @property
     def rejected(self) -> bool:
-        return self._running == _NEG_INF
+        return self.log_weight == _NEG_INF
 
     def __contains__(self, address: Address) -> bool:
         return address in self.entries

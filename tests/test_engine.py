@@ -749,6 +749,16 @@ def _reprs(predictions):
     return [{k: repr(v) for k, v in p.items()} for p in predictions]
 
 
+def _fields(trace):
+    """Every field of every entry, and the predictions, compared by repr (bits)."""
+    entries = [
+        (e.address, repr(e.value), repr(e.log_prior), repr(e.log_proposal), e.role,
+         e.parents, repr(e.noise))
+        for e in trace.entries.values()
+    ]
+    return entries, [(label, repr(v)) for label, v in trace.predictions]
+
+
 class TestKeyBlocks:
     @pytest.mark.parametrize(
         "program",
@@ -763,6 +773,68 @@ class TestKeyBlocks:
         lws, preds = _one_at_a_time(program, n, seed)
         assert res.log_weights.tobytes() == lws.tobytes()
         assert _reprs(res.predictions) == _reprs(preds)
+
+    @pytest.mark.parametrize(
+        "program",
+        [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
+         uniform_program, proposal_program, iv_program, family_switch_program],
+    )
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rearmed_contexts_leak_nothing_between_samples(self, program, workers):
+        # one context per phase serves a whole chunk; every kept trace must
+        # equal a single execution's, which gets a context of its own
+        n, seed = 2 * BLOCK + 3, 21
+        res = wi.run_inference(program, n, seed=seed, workers=workers, keep_traces=True)
+        plan = discover(program, seed=seed)
+        kept = [t for pair in res.traces for t in pair if t is not None]
+        assert len({id(t) for t in kept}) == len(kept)
+        for i, (abd, rep) in enumerate(res.traces):
+            fresh = abduction_sample(program, plan, seed, i)
+            assert _fields(abd) == _fields(fresh)
+            if rep is None:
+                assert not plan.needs_replay or abd.rejected
+                continue
+            assert _fields(rep) == _fields(counterfactual_replay(fresh, plan, program, seed, i))
+            assert rep.log_weight.hex() == abd.log_weight.hex()
+
+    def test_stale_sample_mid_block_leaves_the_next_run_alone(self):
+        runs = [0]
+
+        def turns_stale(ctx):
+            # call 1 is discovery, then abduction and replay alternate: call
+            # 60 is sample 29's abduction, which meets a new observation
+            runs[0] += 1
+            gaussian_program(ctx)
+            if runs[0] == 60:
+                ctx.observe(ctx.observable_normal(0, 1, name="late"), 0.5)
+
+        with pytest.raises(StaleTraceError, match="'late'"):
+            wi.run_inference(turns_stale, 2 * BLOCK + 3, seed=21)
+        res = wi.run_inference(gaussian_program, 1000, seed=101)
+        # test_golden_estimates' Gaussian pins
+        assert wi.estimate_expectation(res).hex() == "-0x1.880cdb1923eb8p+0"
+        assert math.fsum(res.log_weights.tolist()).hex() == "-0x1.02ed314bd4385p+11"
+
+    def test_block_keys_only_the_streams_abduction_reads(self):
+        def block_names(program):
+            names, real = set(), engine.key_block
+
+            def spy(seed, lo, hi, block_names):
+                names.update(block_names)
+                return real(seed, lo, hi, block_names)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "key_block", spy)
+                wi.run_inference(program, 2 * BLOCK + 3, seed=21)
+            return names
+
+        # an observed ObservableNormal/Bernoulli absorbs without a draw, and an
+        # iv-forced address records the do's value
+        assert block_names(gaussian_program) == {"X", "Z"}
+        assert block_names(iv_program) == {"z"}
+        assert block_names(beta_program) == {"p"}
+        # an observed noisy-OR still starts its noise stream from the block
+        assert block_names(noisy_or_program) == {"p0", "p1", "p2", "p3", "y::noise"}
 
     def test_block_streams_replace_scalar_keying(self):
         # digests cannot show which path ran: count scalar stream keyings
