@@ -7,8 +7,10 @@ the TraceEntry the context recorded for it (address, realized value), so
 a choice is one object and one entry: an observable's entry also carries
 its explicit noise.  The trace keyed by address is the only address
 registry and the memo of value_if_needed.
-Every procedure goes through one entry point, ExecutionContext._choose
-(behind sample and the family constructors), which hands it to the
+Every procedure goes through one positional entry point,
+ExecutionContext._choose(spec, name, parents, proposal), whose parents
+is a tuple of addresses: sample and the family constructors resolve
+their depends_on handles to it.  _choose hands the procedure to the
 handler of the current phase:
 
   discovery   one execution that records the query structure: which
@@ -232,41 +234,60 @@ class ExecutionContext:
         reusing an address is a collision, caught when it is recorded.
         Only plain families draw their value, so only they take a proposal.
         """
-        return self._choose(spec, name, depends_on, proposal)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(spec, name, parents, proposal)
 
     def normal(self, mean, std, *, name=None, depends_on=()) -> Choice:
-        return self._choose(Normal(mean, std), name, depends_on, None)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(Normal(mean, std), name, parents, None)
 
     def bernoulli(self, p, *, name=None, depends_on=()) -> Choice:
-        return self._choose(Bernoulli(p), name, depends_on, None)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(Bernoulli(p), name, parents, None)
 
     def uniform(self, lo, hi, *, name=None, depends_on=()) -> Choice:
-        return self._choose(Uniform(lo, hi), name, depends_on, None)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(Uniform(lo, hi), name, parents, None)
 
     def beta(self, a, b, *, name=None, depends_on=()) -> Choice:
-        return self._choose(Beta(a, b), name, depends_on, None)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(Beta(a, b), name, parents, None)
 
     def delta(self, value, *, name=None, depends_on=()) -> Choice:
-        return self._choose(Delta(value), name, depends_on, None)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(Delta(value), name, parents, None)
 
     def observable_normal(self, mean, noise_std, *, name=None, depends_on=()) -> Choice:
-        return self._choose(ObservableNormal(mean, noise_std), name, depends_on, None)
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(ObservableNormal(mean, noise_std), name, parents, None)
 
     def observable_bernoulli(
         self, f_value, flip_prob, *, name=None, depends_on=()
     ) -> Choice:
-        return self._choose(
-            ObservableBernoulli(bool(f_value), flip_prob), name, depends_on, None
-        )
+        parents = self._addresses(name, depends_on) if depends_on else ()
+        return self._choose(ObservableBernoulli(bool(f_value), flip_prob), name, parents, None)
 
     def observable_noisy_or(
         self, lambda0, lambdas, parent_states, *, name=None, depends_on=()
     ) -> Choice:
+        parents = self._addresses(name, depends_on) if depends_on else ()
         spec = ObservableNoisyOr(lambda0, lambdas, parent_states)
-        return self._choose(spec, name, depends_on, None)
+        return self._choose(spec, name, parents, None)
 
-    def _choose(self, spec, name, depends_on, proposal) -> Choice:
-        """The one entry of every choice, by position, for sample and the constructors."""
+    def _addresses(self, name, depends_on) -> tuple[Address, ...]:
+        """The addresses of depends_on; a misuse names the address _choose will give."""
+        try:
+            return tuple([c.address for c in depends_on])
+        except (AttributeError, TypeError):
+            addr = f"auto:{self._auto}" if name is None else name
+            raise EngineError(
+                f"depends_on of {addr!r} must be a list of the choice handles "
+                f"it depends on, got {depends_on!r}"
+            ) from None
+
+    def _choose(self, spec, name, parents, proposal) -> Choice:
+        """The one entry of every choice, by position; parents is a tuple of addresses,
+        which sample and the constructors resolve from their depends_on handles."""
         if name is None:
             addr = f"auto:{self._auto}"
             self._auto += 1
@@ -274,16 +295,6 @@ class ExecutionContext:
             addr = name
         if proposal is not None and type(spec) not in PLAIN_FAMILIES:
             raise EngineError(f"{type(spec).__name__} at {addr!r} takes no proposal")
-        if depends_on:
-            try:
-                parents = tuple([c.address for c in depends_on])
-            except (AttributeError, TypeError):
-                raise EngineError(
-                    f"depends_on of {addr!r} must be a list of the choice handles "
-                    f"it depends on, got {depends_on!r}"
-                ) from None
-        else:
-            parents = ()
         phase = self.phase
         if phase == ABDUCTION:
             act = self._actions.get(addr)
@@ -520,24 +531,25 @@ class ExecutionContext:
 
     # -- lazy evaluation gates ---------------------------------------------
 
-    def value_if_needed(self, name: Address, thunk) -> Choice:
+    def value_if_needed(self, name: Address, thunk, *args) -> Choice:
         """Memoized access to the procedure at a known address.
 
-        The memo is the trace itself: an address already recorded in
-        this execution returns its entry without running the thunk.
+        The memo is the trace itself: an address already recorded in this
+        execution returns its entry without calling thunk(*args).
 
         For an address forced by an intervention in the current phase the
-        forced value is returned directly and the thunk never runs, so
-        none of its ancestors are evaluated on its account.
+        forced value is recorded, with the parents discovery saw declared
+        there, and the thunk never runs, so none of its ancestors are
+        evaluated on its account.
         """
         got = self.trace.entries.get(name)
         if got is not None:
             return got
-        if name in self.plan.interventions:
-            iv = _forcing(self.plan, self.phase, name)
-            if iv is not None:
-                return self._forced(name, (), iv)
-        choice = thunk()
+        iv, phase = self.plan.interventions.get(name), self.phase
+        # an iv do forces in abduction and replay, a cf do only in replay
+        if iv is not None and (phase == REPLAY or (phase == ABDUCTION and iv.kind == IV)):
+            return self._forced(name, self.plan.parents.get(name, ()), iv)
+        choice = thunk(*args)
         if not isinstance(choice, Choice) or choice.address != name:
             raise EngineError(
                 f"value_if_needed thunk for {name!r} produced "
@@ -554,18 +566,6 @@ class ExecutionContext:
         return self.phase == DISCOVERY
 
 
-def _forcing(plan: QueryPlan, phase: int, addr: Address) -> Intervention | None:
-    """The do that forces addr in phase, or None.
-
-    An iv do forces in abduction and replay; a cf do forces only in
-    replay, and there it taints addr.  Discovery forces nothing.
-    """
-    iv = plan.interventions.get(addr)
-    if iv is None or phase == DISCOVERY or (iv.kind == CF and phase != REPLAY):
-        return None
-    return iv
-
-
 def _abduction_action(plan: QueryPlan, columns: dict[str, int], addr: Address,
                       fam: type) -> tuple:
     """What abduction does with a fam choice at addr: (fam, act, arg).
@@ -578,8 +578,8 @@ def _abduction_action(plan: QueryPlan, columns: dict[str, int], addr: Address,
     holds is drawn from the raws in column arg; anything else is drawn
     forward from a stream.
     """
-    iv = _forcing(plan, ABDUCTION, addr)
-    if iv is not None:
+    iv = plan.interventions.get(addr)
+    if iv is not None and iv.kind == IV:  # abduction ignores a cf do
         return fam, ExecutionContext._intervened, iv.value
     if addr in plan.observed:
         return fam, ExecutionContext._absorb, plan.observed[addr]

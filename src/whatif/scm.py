@@ -255,56 +255,55 @@ def _node_specs(node: ScmNode, evidence: dict[str, bool]):
     return ObservableBernoulli(False, node.q), ObservableBernoulli(True, node.q)
 
 
-def _node_choice(ctx, node: ScmNode, specs, parent_choices):
-    """Instantiate one node; eager and lazy programs both build it here."""
+def _node_choice(ctx, nodes, nid: str):
+    """Instantiate node nid; eager and lazy programs both build it here.
+
+    One walk over the node's parents reads each from the trace; only a lazy
+    program can find one missing, and asks the gate for it."""
+    node, specs = nodes[nid]
     if node.kind == PRIOR:
         prior, proposal = specs
-        return ctx._choose(prior, node.id, (), proposal)  # sample's positional entry
-    f_val = linear_threshold(node.theta, [c.value for c in parent_choices])
-    return ctx._choose(specs[f_val], node.id, parent_choices, None)
+        return ctx._choose(prior, nid, (), proposal)  # sample's positional entry
+    entries = ctx.trace.entries
+    values = []
+    for p in node.parents:
+        parent = entries.get(p)
+        if parent is None:
+            parent = ctx.value_if_needed(p, _node_choice, ctx, nodes, p)
+        values.append(parent.value)
+    return ctx._choose(specs[linear_threshold(node.theta, values)], nid, node.parents, None)
 
 
 def _eager_program(ctx, nodes, query: BenchQuery):
     """Every node instantiated in topological order, then the statements."""
-    choices = {}
-    for nid, (node, specs) in nodes.items():
-        choices[nid] = _node_choice(ctx, node, specs, [choices[p] for p in node.parents])
+    for nid in nodes:
+        _node_choice(ctx, nodes, nid)
+    entries = ctx.trace.entries
     for nid, val in query.evidence.items():
         if nodes[nid][0].kind == DEPENDENT:
-            ctx.observe(choices[nid], val)
+            ctx.observe(entries[nid], val)
     d, d_value = query.intervention
-    ctx.do(choices[d], d_value, kind=query.kind)
-    ctx.predict(choices[query.target].value, label=query.target, counterfactual=True)
-
-
-def _lazy_compute(ctx, nodes, nid: str):
-    got = ctx.trace.entries.get(nid)  # memo first: a hit builds no thunk
-    if got is not None:
-        return got
-    return ctx.value_if_needed(nid, partial(_lazy_thunk, ctx, nodes, nid))
-
-
-def _lazy_thunk(ctx, nodes, nid: str):
-    node, specs = nodes[nid]
-    parents = [_lazy_compute(ctx, nodes, p) for p in node.parents]
-    return _node_choice(ctx, node, specs, parents)
+    ctx.do(entries[d], d_value, kind=query.kind)
+    ctx.predict(entries[query.target].value, label=query.target, counterfactual=True)
 
 
 def _lazy_program(ctx, nodes, query: BenchQuery):
     """Only ancestors of the statements actually issued get evaluated.
 
-    Its helpers take ctx as an argument: closures over ctx that captured
-    each other would leave every execution to the cyclic collector.
+    The gate gets _node_choice and its arguments, not a closure: closures
+    over ctx that captured each other would leave every execution to the
+    cyclic collector.
     """
+    gate = ctx.value_if_needed
     if ctx.observing():
         for nid, val in query.evidence.items():
-            choice = _lazy_compute(ctx, nodes, nid)
+            choice = gate(nid, _node_choice, ctx, nodes, nid)
             if nodes[nid][0].kind == DEPENDENT:
                 ctx.observe(choice, val)
     if ctx.intervening():
         d, d_value = query.intervention
-        ctx.do(_lazy_compute(ctx, nodes, d), d_value, kind=query.kind)
-    target = _lazy_compute(ctx, nodes, query.target)
+        ctx.do(gate(d, _node_choice, ctx, nodes, d), d_value, kind=query.kind)
+    target = gate(query.target, _node_choice, ctx, nodes, query.target)
     ctx.predict(target.value, label=query.target, counterfactual=True)
 
 

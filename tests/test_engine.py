@@ -386,15 +386,16 @@ class TestStatements:
             with pytest.raises(wi.AddressCollisionError, match=f"'{addr}' already recorded"):
                 wi.run_inference(program, 3, seed=0)
 
+    @pytest.mark.parametrize("name, addr", [("y", "y"), (None, "auto:0")])
     @pytest.mark.parametrize("depends_on", ["values", "bare handle"])
-    def test_depends_on_misuse_names_the_address(self, depends_on):
+    def test_depends_on_misuse_names_the_address(self, depends_on, name, addr):
         def program(ctx):
             x = ctx.normal(0, 1, name="x")
             parents = [x.value] if depends_on == "values" else x
-            ctx.observable_normal(x.value, 1, name="y", depends_on=parents)
+            ctx.observable_normal(x.value, 1, name=name, depends_on=parents)
             ctx.predict(x.value, label="x")
 
-        with pytest.raises(EngineError, match="depends_on of 'y'"):
+        with pytest.raises(EngineError, match=f"depends_on of '{addr}'"):
             wi.run_inference(program, 1, seed=0)
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -545,6 +546,43 @@ class TestLazyGates:
         assert wi.estimate_expectation(res) == 5.0
         for abd, _ in res.traces:
             assert "parent" not in abd  # never evaluated under the force
+
+    def test_value_if_needed_passes_its_arguments_to_the_thunk(self):
+        calls = []
+
+        def thunk(ctx, name, mean=0.0):
+            calls.append((name, mean))
+            return ctx.normal(mean, 1, name=name)
+
+        def program(ctx):
+            a = ctx.value_if_needed("a", thunk, ctx, "a", 3.0)
+            b = ctx.value_if_needed("b", lambda: ctx.normal(a.value, 1, name="b", depends_on=[a]))
+            assert ctx.value_if_needed("a", thunk, ctx, "a", 9.0) is a  # a hit runs nothing
+            ctx.predict(b.value, label="b")
+
+        res = wi.run_inference(program, 2, seed=0, keep_traces=True)
+        assert calls == [("a", 3.0)] * 3  # discovery and two abductions
+        assert [abd["b"].parents for abd, _ in res.traces] == [("a",), ("a",)]
+
+    @pytest.mark.parametrize("kind", [wi.CF, wi.IV])
+    @pytest.mark.parametrize("style", ["eager", "lazy"])
+    def test_scm_parents_are_the_model_edges(self, style, kind):
+        scm, query = generate_case(0, 3, 12)
+        query.kind = kind
+        query.evidence.pop(query.intervention[0], None)  # an iv do forces no evidence node
+        program = build_program(scm, query, style)
+        edges = {n.id: n.parents for n in scm.nodes}
+        plan = discover(program)
+        if style == "eager":
+            assert plan.parents == edges
+        else:  # lazy discovery reaches only the statements' ancestors
+            assert plan.parents == {a: edges[a] for a in plan.parents}
+        res = wi.run_inference(program, 20, seed=1, keep_traces=True)
+        recorded = [e for pair in res.traces for t in pair if t is not None
+                    for e in t.entries.values()]
+        assert any(e.role == "intervened" and e.parents for e in recorded)
+        for entry in recorded:
+            assert entry.parents == edges[entry.address]
 
     def test_thunk_address_mismatch_rejected(self):
         def program(ctx):

@@ -21,6 +21,8 @@ from whatif.scm import (
     scm_to_json,
 )
 
+ENTRY_FIELDS = ("value", "log_prior", "log_proposal", "role", "parents", "noise")
+
 
 def test_linear_threshold_values():
     assert linear_threshold((0.6, 0.4), [True, False]) is True
@@ -232,6 +234,37 @@ class TestPrograms:
         re_ = wi.run_inference(wi.build_program(scm, query, "eager"), 2000, seed=4)
         rl = wi.run_inference(wi.build_program(scm, query, "lazy"), 2000, seed=4)
         assert wi.estimate_expectation(re_) == wi.estimate_expectation(rl)
+
+    @pytest.mark.parametrize("kind", ["cf", "iv"])
+    def test_lazy_traces_equal_eager_entry_by_entry(self, kind):
+        # every entry a lazy execution records, a forced one included, is
+        # the eager entry at that address: same bits, same declared parents
+        forced = {"abduction": 0, "replay": 0}
+        for i in range(12):
+            scm, query = wi.generate_case(5, i, 8)
+            d = query.intervention[0]
+            if scm.node(d).kind != "dependent" or (kind == "iv" and d in query.evidence):
+                continue
+            query.kind = kind
+            eager, lazy = (
+                wi.run_inference(wi.build_program(scm, query, style), 30, seed=i,
+                                 keep_traces=True).traces
+                for style in ("eager", "lazy")
+            )
+            for e_pair, l_pair in zip(eager, lazy):
+                for phase, e_trace, l_trace in zip(("abduction", "replay"), e_pair, l_pair):
+                    assert (e_trace is None) == (l_trace is None)
+                    if l_trace is None:
+                        continue
+                    for addr, got in l_trace.entries.items():
+                        want = e_trace[addr]
+                        assert [repr(getattr(got, f)) for f in ENTRY_FIELDS] == [
+                            repr(getattr(want, f)) for f in ENTRY_FIELDS
+                        ], (i, phase, addr)
+                        if addr == d and got.role == "intervened":
+                            forced[phase] += 1
+        # a cf do forces only in replay; an iv query forces in abduction and has no replay
+        assert forced["replay" if kind == "cf" else "abduction"] > 0
 
     @pytest.mark.parametrize("style", ["eager", "lazy"])
     def test_no_spec_is_built_per_choice(self, style, monkeypatch):
