@@ -386,16 +386,26 @@ class TestStatements:
             with pytest.raises(wi.AddressCollisionError, match=f"'{addr}' already recorded"):
                 wi.run_inference(program, 3, seed=0)
 
-    @pytest.mark.parametrize("name, addr", [("y", "y"), (None, "auto:0")])
     @pytest.mark.parametrize("depends_on", ["values", "bare handle"])
-    def test_depends_on_misuse_names_the_address(self, depends_on, name, addr):
+    def test_depends_on_misuse_names_the_address(self, depends_on):
         def program(ctx):
             x = ctx.normal(0, 1, name="x")
             parents = [x.value] if depends_on == "values" else x
-            ctx.observable_normal(x.value, 1, name=name, depends_on=parents)
+            ctx.observable_normal(x.value, 1, name="y", depends_on=parents)
             ctx.predict(x.value, label="x")
 
-        with pytest.raises(EngineError, match=f"depends_on of '{addr}'"):
+        with pytest.raises(EngineError, match="depends_on of 'y'"):
+            wi.run_inference(program, 1, seed=0)
+
+    @pytest.mark.parametrize("depends_on", ["values", "bare handle"])
+    def test_depends_on_misuse_names_the_automatic_address(self, depends_on):
+        def program(ctx):
+            x = ctx.normal(0, 1, name="x")
+            parents = [x.value] if depends_on == "values" else x
+            ctx.observable_normal(x.value, 1, depends_on=parents)
+            ctx.predict(x.value, label="x")
+
+        with pytest.raises(EngineError, match="depends_on of 'auto:0'"):
             wi.run_inference(program, 1, seed=0)
 
     @pytest.mark.parametrize("n", [0, -3])
