@@ -18,11 +18,15 @@ and counterfactual replay can rerun output() under new parent values
 while holding the abducted noise fixed.
 
 The families in RAW_FAMILIES draw from at most rng.PRE_DRAWN raws, the
-ones a key block computes ahead, so they also draw straight from them:
-draw(raw1, raw2) for a plain family, draw_noise(raw1, raw2) for an
-observable one; a family that needs one raw ignores raw2.  sample and
-sample_noise go through the same method on the raws they take from the
-stream, so both paths give the same bits.  Their
+ones a key block computes ahead, and their draw is one rule on inputs
+converted from those raws: draw_from(inputs, i) for a plain family,
+draw_noise_from(inputs, i) for an observable one, reading inputs[i] =
+rng.to_uniform(raw1), or inputs[i], inputs[i + 1] = rng.normal_parts(raw1,
+raw2) for a NORMAL_FAMILIES member.  A key block converts its raws to
+such inputs a column at a time (rng.block_inputs); draw(raw1, raw2),
+draw_noise(raw1, raw2), draw_and_score and sample / sample_noise convert
+them one at a time and go through the same rule, so every path gives
+the same bits.  A family that needs one raw ignores raw2.  Their
 observable members absorb by inverting output(), drawing nothing, and
 take stream None.  Beta's rejection loop and ObservableNoisyOr's
 per-parent noises draw an unbounded or larger count and keep the stream.
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rng import RandomStream, to_normal, to_uniform
+from .rng import RandomStream, normal_parts, to_uniform
 
 _NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -66,8 +70,11 @@ class Normal:
         z = (x - self.mean) / self.std
         return -0.5 * z * z - math.log(self.std) - _HALF_LOG_2PI
 
+    def draw_from(self, inputs, i: int) -> float:
+        return self.mean + self.std * inputs[i] * inputs[i + 1]  # normal_parts' order
+
     def draw(self, raw1: int, raw2: int) -> float:
-        return to_normal(raw1, raw2, self.mean, self.std)
+        return self.draw_from(normal_parts(raw1, raw2), 0)
 
     def sample(self, stream: RandomStream) -> float:
         return self.draw(stream.next_raw(), stream.next_raw())
@@ -84,8 +91,11 @@ class Bernoulli:
     def log_density(self, value: bool) -> float:
         return _bernoulli_log_mass(self.p, bool(value))
 
+    def draw_from(self, inputs, i: int) -> bool:
+        return inputs[i] < self.p
+
     def draw(self, raw1: int, _raw2: int = 0) -> bool:
-        return to_uniform(raw1) < self.p
+        return self.draw_from((to_uniform(raw1),), 0)
 
     def sample(self, stream: RandomStream) -> bool:
         return self.draw(stream.next_raw())
@@ -105,8 +115,11 @@ class Uniform:
             return -math.log(self.hi - self.lo)
         return _NEG_INF
 
+    def draw_from(self, inputs, i: int) -> float:
+        return self.lo + inputs[i] * (self.hi - self.lo)
+
     def draw(self, raw1: int, _raw2: int = 0) -> float:
-        return self.lo + to_uniform(raw1) * (self.hi - self.lo)
+        return self.draw_from((to_uniform(raw1),), 0)
 
     def sample(self, stream: RandomStream) -> float:
         return self.draw(stream.next_raw())
@@ -183,8 +196,11 @@ class ObservableNormal:
         z = noise / self.noise_std
         return -0.5 * z * z - math.log(self.noise_std) - _HALF_LOG_2PI
 
+    def draw_noise_from(self, inputs, i: int) -> float:
+        return 0.0 + self.noise_std * inputs[i] * inputs[i + 1]  # normal_parts' order
+
     def draw_noise(self, raw1: int, raw2: int) -> float:
-        return to_normal(raw1, raw2, 0.0, self.noise_std)
+        return self.draw_noise_from(normal_parts(raw1, raw2), 0)
 
     def sample_noise(self, stream: RandomStream) -> float:
         return self.draw_noise(stream.next_raw(), stream.next_raw())
@@ -217,8 +233,11 @@ class ObservableBernoulli:
     def noise_log_prior(self, noise: bool) -> float:
         return _bernoulli_log_mass(self.flip_prob, noise)
 
+    def draw_noise_from(self, inputs, i: int) -> bool:
+        return inputs[i] < self.flip_prob
+
     def draw_noise(self, raw1: int, _raw2: int = 0) -> bool:
-        return to_uniform(raw1) < self.flip_prob
+        return self.draw_noise_from((to_uniform(raw1),), 0)
 
     def sample_noise(self, stream: RandomStream) -> bool:
         return self.draw_noise(stream.next_raw())
@@ -315,8 +334,10 @@ class ObservableNoisyOr:
 # Delta, a point mass, is neither.
 PLAIN_FAMILIES = (Normal, Bernoulli, Uniform, Beta)
 OBSERVABLE_FAMILIES = (ObservableNormal, ObservableBernoulli, ObservableNoisyOr)
-# Families that draw from their stream's first rng.PRE_DRAWN raws (see above).
+# Families that draw from their stream's first rng.PRE_DRAWN raws (see
+# above), and those of them whose inputs are rng.normal_parts.
 RAW_FAMILIES = (Normal, Bernoulli, Uniform, ObservableNormal, ObservableBernoulli)
+NORMAL_FAMILIES = (Normal, ObservableNormal)
 
 
 def sample_and_score(spec, stream: RandomStream, proposal=None):
@@ -337,12 +358,18 @@ def sample_and_score(spec, stream: RandomStream, proposal=None):
 
 def draw_and_score(spec, raw1: int, raw2: int, proposal=None):
     """sample_and_score for a plain RAW_FAMILIES spec whose stream starts raw1, raw2."""
+    inputs = normal_parts(raw1, raw2) if type(spec) in NORMAL_FAMILIES else (to_uniform(raw1),)
+    return score_inputs(spec, inputs, 0, proposal)
+
+
+def score_inputs(spec, inputs, i: int, proposal=None):
+    """draw_and_score for a plain RAW_FAMILIES spec whose converted inputs start at inputs[i]."""
     if proposal is None:
-        value = spec.draw(raw1, raw2)
+        value = spec.draw_from(inputs, i)
         lp = spec.log_density(value)
         return value, lp, lp
     _check_proposal(spec, proposal)
-    value = proposal.draw(raw1, raw2)
+    value = proposal.draw_from(inputs, i)
     return value, spec.log_density(value), proposal.log_density(value)
 
 

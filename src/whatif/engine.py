@@ -44,19 +44,25 @@ are forked where the platform allows, so a closure works as a program.
 run_inference keys its samples BLOCK at a time: one rng.key_block pass
 computes each sample's key and, for every stream abduction reads at an
 address the discovery pass saw, the stream's base and first raw draws.
-A choice of a dists.RAW_FAMILIES family is computed straight from those
-raws, with no stream built, and an observable of such a family absorbs
-its evidence without one.  Beta and ObservableNoisyOr start a stream
-from the block.  Any other stream (a branch discovery never took,
-replay's @cf redraws), and the one execution that discover,
-abduction_sample and counterfactual_replay each run, take the scalar
-keyed_stream path, which gives the same bits.
+Raws become doubles once per block, where the block is keyed:
+rng.block_inputs converts every column that a choice of a
+dists.RAW_FAMILIES family draws from, numpy doing the exact integer and
+power-of-two steps and math.* the logs and cosines, since np.log rounds
+some differently.  Such a choice then reads its inputs from its sample's
+row by index, with no stream built, and an observable of such a family
+absorbs its evidence without one.  Beta and ObservableNoisyOr
+start a stream from the block's raws, one cell at a time, and so does a
+choice whose family differs from the one discovery saw at its address,
+since the block converted its raws for discovery's family.  Any other
+stream (a branch discovery never took, replay's @cf redraws), and the
+one execution that discover, abduction_sample and counterfactual_replay
+each run, take the scalar keyed_stream path, which gives the same bits.
 
 What abduction does at an address (force it, absorb evidence, draw from
-block column j, or draw from a stream) depends only on the plan, the
-block's columns and the family, so each chunk of samples works it out
-once per address discovery saw, with _abduction_action, the one rule,
-and keeps the answers in an action table keyed by address.  A choice
+the block's inputs at slot i, or draw from a stream) depends only on the
+plan, the block's layout and the family, so each chunk of samples works
+it out once per address discovery saw, with _abduction_action, the one
+rule, and keeps the answers in an action table keyed by address.  A choice
 whose family matches the table's costs one lookup there; any other
 choice (an address discovery never saw, another family at the address,
 every choice of a single execution) asks the rule again.  Replay copies
@@ -80,6 +86,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dists import (
+    NORMAL_FAMILIES,
     OBSERVABLE_FAMILIES,
     PLAIN_FAMILIES,
     RAW_FAMILIES,
@@ -91,8 +98,8 @@ from .dists import (
     ObservableNormal,
     ObservableNoisyOr,
     Uniform,
-    draw_and_score,
     sample_and_score,
+    score_inputs,
 )
 from .errors import (
     AddressCollisionError,
@@ -101,7 +108,7 @@ from .errors import (
     UnobservableProcedureError,
     StaleTraceError,
 )
-from .rng import RandomStream, key_block, keyed_stream, sample_key
+from .rng import RandomStream, block_inputs, key_block, keyed_stream, sample_key
 from .trace import (
     INTERVENED,
     LATENT,
@@ -122,7 +129,7 @@ REPLAY_STREAM_SUFFIX = "@cf"
 
 # Samples keyed together by one rng.key_block pass in _run_chunk.
 BLOCK = 128
-_NO_COLUMNS: dict[str, int] = {}
+_NO_COLUMNS: dict[str, int] = {}  # no key-block columns, or no slots
 _NO_ACTIONS: dict[str, tuple] = {}
 _NEG_INF = float("-inf")
 
@@ -186,7 +193,9 @@ class ExecutionContext:
         "abducted",
         "_key",
         "_columns",
-        "_starts",
+        "_block",
+        "_row",
+        "_inputs",
         "_actions",
         "_auto",
         "_tainted",
@@ -197,26 +206,30 @@ class ExecutionContext:
                  actions: dict[Address, tuple] = _NO_ACTIONS):
         self.phase = phase
         self.plan = plan
-        # starts[columns[name]]: base and pre-drawn raws of stream name (rng.key_block)
+        # block[0][row, columns[name]]: base and pre-drawn raws of stream name
         self._columns = columns
         # addr -> _abduction_action's answer for the family discovery saw there
         self._actions = actions
-        self.trace = self.abducted = self._starts = self._tainted = None
-        self._key = self._auto = self._pred_i = 0
+        self.trace = self.abducted = self._block = self._inputs = self._tainted = None
+        self._key = self._row = self._auto = self._pred_i = 0
 
-    def _run(self, program, key: int, starts: list | None = None,
+    def _run(self, program, key: int, block: tuple | None = None, row: int = 0,
              abducted: Trace | None = None, log_weight: float = 0.0) -> Trace:
         """Rearm the context for one execution of program and return its trace.
 
         One context per phase serves a whole chunk of samples.  Rearming
-        gives it a fresh trace, the sample's key and starts and zeroed
-        counters; a replay also gets a fresh taint set and the abducted
-        trace, and its trace starts at log_weight, the abducted weight, as
-        its one term (replay adds no non-zero term, and fsum([w]) == w).
+        gives it a fresh trace, the sample's key, its row of block, the key
+        block's (raw table, converted input rows), and zeroed counters; a
+        replay also gets a fresh taint set and the abducted trace, and its
+        trace starts at log_weight, the abducted weight, as its one term
+        (replay adds no non-zero term, and fsum([w]) == w).
         """
         self.trace = trace = Trace()
         self._key = key
-        self._starts = starts
+        if block is not None:
+            self._block = block
+            self._row = row
+            self._inputs = block[1][row]
         self._auto = self._pred_i = 0
         if abducted is not None:
             self.abducted = abducted
@@ -322,7 +335,7 @@ class ExecutionContext:
         j = self._columns.get(addr)
         if j is None:
             return keyed_stream(self._key, addr)
-        return RandomStream(*self._starts[j])
+        return RandomStream(*self._block[0][self._row, j].tolist())
 
     def _record(self, addr, value, lp, lq, role, parents, noise=None, term=0.0) -> TraceEntry:
         """Insert the entry and add its weight term in one step.
@@ -346,7 +359,8 @@ class ExecutionContext:
         """Sample from the prior or proposal with no evidence applied.
 
         The draw comes from a stream; a choice abduction draws from the
-        key block's raws goes through _draw or _draw_noise instead.
+        key block's converted inputs goes through _draw or _draw_noise
+        instead.
         Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream of its
         own, which no block holds, independent of the abducted draws at
         the same address.
@@ -361,17 +375,15 @@ class ExecutionContext:
         noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
-    def _draw(self, addr, spec, parents, proposal, j) -> Choice:
-        """A plain RAW_FAMILIES choice drawn from key-block column j's raws."""
-        _, raw1, raw2 = self._starts[j]
-        value, lp, lq = draw_and_score(spec, raw1, raw2, proposal)
+    def _draw(self, addr, spec, parents, proposal, i) -> Choice:
+        """A plain RAW_FAMILIES choice drawn from the sample's block inputs at slot i."""
+        value, lp, lq = score_inputs(spec, self._inputs, i, proposal)
         term = lp if lp == _NEG_INF else lp - lq
         return self._record(addr, value, lp, lq, LATENT, parents, None, term)
 
-    def _draw_noise(self, addr, spec, parents, proposal, j) -> Choice:
-        """An observable RAW_FAMILIES choice whose noise is drawn from column j's raws."""
-        _, raw1, raw2 = self._starts[j]
-        noise = spec.draw_noise(raw1, raw2)
+    def _draw_noise(self, addr, spec, parents, proposal, i) -> Choice:
+        """An observable RAW_FAMILIES choice whose noise is drawn from block inputs at slot i."""
+        noise = spec.draw_noise_from(self._inputs, i)
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
     def _intervened(self, addr, spec, parents, proposal, value) -> Choice:
@@ -388,9 +400,11 @@ class ExecutionContext:
         """Abduction at an address the execution's action table does not answer.
 
         That is an address discovery never saw, another family than
-        discovery saw there, or any address of a single execution.
+        discovery saw there, or any address of a single execution.  None
+        of them reads the block's inputs, which were converted for
+        discovery's families: a stream the block holds starts from its raws.
         """
-        _, act, arg = _abduction_action(self.plan, self._columns, addr, type(spec))
+        _, act, arg = _abduction_action(self.plan, _NO_COLUMNS, addr, type(spec))
         return act(self, addr, spec, parents, proposal, arg)
 
     def _absorb(self, addr, spec, parents, proposal, observed) -> Choice:
@@ -478,7 +492,7 @@ class ExecutionContext:
         editing the model.  Discovery records the do; abduction checks
         that it did, and replay forces from the plan alone.
         """
-        kind = kind.lower()
+        kind = kind.lower() if isinstance(kind, str) else kind
         if kind not in (CF, IV):
             raise ValueError(f"intervention kind must be 'cf' or 'iv', got {kind!r}")
         plan = self.plan
@@ -566,17 +580,18 @@ class ExecutionContext:
         return self.phase == DISCOVERY
 
 
-def _abduction_action(plan: QueryPlan, columns: dict[str, int], addr: Address,
+def _abduction_action(plan: QueryPlan, slots: dict[str, int], addr: Address,
                       fam: type) -> tuple:
     """What abduction does with a fam choice at addr: (fam, act, arg).
 
     The one rule for abduction.  _run_chunk caches its answer for every
-    address discovery saw, and ExecutionContext._abduct asks it where that
-    table has none.  act(ctx, addr, spec, parents, proposal, arg) makes
-    the entry: a do that forces addr records the do's value; evidence at
-    addr is absorbed; a RAW_FAMILIES choice whose stream the key block
-    holds is drawn from the raws in column arg; anything else is drawn
-    forward from a stream.
+    address discovery saw, with the family discovery saw there, and
+    ExecutionContext._abduct asks it, with no slots, where that table has
+    none.  act(ctx, addr, spec, parents, proposal, arg) makes the entry: a
+    do that forces addr records the do's value; evidence at addr is
+    absorbed; a RAW_FAMILIES choice whose stream has a slot in the block's
+    inputs is drawn from them at slot arg; anything else is drawn forward
+    from a stream.
     """
     iv = plan.interventions.get(addr)
     if iv is not None and iv.kind == IV:  # abduction ignores a cf do
@@ -585,9 +600,9 @@ def _abduction_action(plan: QueryPlan, columns: dict[str, int], addr: Address,
         return fam, ExecutionContext._absorb, plan.observed[addr]
     if fam in RAW_FAMILIES:
         plain = fam in PLAIN_FAMILIES
-        j = columns.get(addr if plain else addr + NOISE_SUFFIX)
-        if j is not None:
-            return fam, ExecutionContext._draw if plain else ExecutionContext._draw_noise, j
+        i = slots.get(addr if plain else addr + NOISE_SUFFIX)
+        if i is not None:
+            return fam, ExecutionContext._draw if plain else ExecutionContext._draw_noise, i
     return fam, ExecutionContext._forward, ""
 
 
@@ -647,7 +662,7 @@ def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
     prior draws whose contribution is exactly zero.
     """
     key = sample_key(seed, sample_index)
-    return ExecutionContext(REPLAY, plan)._run(program, key, None, trace, trace.log_weight)
+    return ExecutionContext(REPLAY, plan)._run(program, key, None, 0, trace, trace.log_weight)
 
 
 @dataclass
@@ -666,22 +681,33 @@ class InferenceResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _block_columns(plan: QueryPlan) -> dict[str, int]:
-    """Key-block column of each stream abduction reads at an address discovery saw.
+def _block_layout(plan: QueryPlan) -> tuple[dict[str, int], dict[str, int], list, list]:
+    """Where abduction finds each stream it reads at an address discovery saw.
 
-    Those are the draws _abduction_action takes from the raws, and the
-    streams Beta and noisy-OR start from the block where no do forces them.
+    Returns (columns, slots, uniform, normal).  columns[name] is the
+    stream's column in rng.key_block's table: the draws _abduction_action
+    takes from the block, and the streams Beta and noisy-OR start from it
+    where no do forces them.  rng.block_inputs(table, uniform, normal)
+    converts the draws' columns for the family discovery saw, and
+    slots[name] is where a draw's inputs start in a row of its result.
     """
     draws = (ExecutionContext._draw, ExecutionContext._draw_noise)
     columns: dict[str, int] = {}
+    uniform: list[str] = []
+    normal: list[str] = []
     for addr, fam in plan.families.items():
         if fam is Delta:
             continue
         name = addr if fam in PLAIN_FAMILIES else addr + NOISE_SUFFIX
         _, act, _ = _abduction_action(plan, {name: 0}, addr, fam)
-        if act in draws or (fam not in RAW_FAMILIES and act is not ExecutionContext._intervened):
-            columns[name] = len(columns)
-    return columns
+        if act in draws:
+            (normal if fam in NORMAL_FAMILIES else uniform).append(name)
+        elif fam in RAW_FAMILIES or act is ExecutionContext._intervened:
+            continue
+        columns[name] = len(columns)
+    slots = {name: k for k, name in enumerate(uniform)}
+    slots.update((name, len(uniform) + 2 * k) for k, name in enumerate(normal))
+    return columns, slots, [columns[n] for n in uniform], [columns[n] for n in normal]
 
 
 def _run_chunk(program, plan, seed, keep_traces, lo, hi):
@@ -696,9 +722,9 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     traces = [] if keep_traces else None
     n_rejected = n_abd = n_rep = 0
     abd_s = rep_s = 0.0
-    columns = _block_columns(plan)
+    columns, slots, uniform, normal = _block_layout(plan)
     names = list(columns)
-    actions = {addr: _abduction_action(plan, columns, addr, fam)
+    actions = {addr: _abduction_action(plan, slots, addr, fam)
                for addr, fam in plan.families.items()}
     abduct = ExecutionContext(ABDUCTION, plan, columns, actions)._run
     # replay reads no block column: its redraws use @cf streams
@@ -709,9 +735,9 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     t0 = clock()
     for start in range(lo - lo % BLOCK, hi, BLOCK):
         keys, table = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
+        block = table, block_inputs(table, uniform, normal)
         for r, key in enumerate(keys):
-            # converted one sample at a time, so a block holds only its numpy table
-            abd = abduct(program, key, table[r].tolist())
+            abd = abduct(program, key, block, r)
             t0, t1 = clock(), t0
             abd_s += t0 - t1
             n_abd += 1
@@ -722,7 +748,7 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
             merged = dict(abd.predictions)
             rep = None
             if replay is not None and not rejected:
-                rep = replay(program, key, None, abd, lw)
+                rep = replay(program, key, None, 0, abd, lw)
                 t0, t1 = clock(), t0
                 rep_s += t0 - t1
                 n_rep += 1

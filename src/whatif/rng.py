@@ -18,14 +18,22 @@ discovery pass recorded, each sample's stream base and first PRE_DRAWN
 raw draws.  numpy's uint64 arithmetic wraps modulo 2^64 exactly like the
 masked Python ints of _mix64, so the table holds the same bits as
 keyed_stream would draw.  A choice whose whole draw fits in those raws
-is computed from them directly; a stream started from the table
-(RandomStream(base, raw1, raw2)) serves one that may need more, and past
-its pre-drawn raws it continues at the counter.  A name outside the
-block, or a single execution, takes the scalar path through keyed_stream.
+is computed from them, converted by block_inputs; a stream started from
+the table (RandomStream(base, raw1, raw2)) serves one that may need
+more, and past its pre-drawn raws it continues at the counter.  A name
+outside the block, or a single execution, takes the scalar path through
+keyed_stream.
 
-Raws become doubles through one function per conversion (to_uniform,
-to_uniform_pos, to_normal), which RandomStream and the direct path both
-call, so both give the same bits by construction.
+Raws become doubles in two places, with the same bits.  A stream, and
+a single draw from raws (dists' draw and draw_noise), convert them one
+at a time through to_uniform, to_uniform_pos and normal_parts.  A key
+block converts every draw's raws once, when it is keyed: block_inputs
+is the column twin of to_uniform and normal_parts.  numpy does its
+shifts and scalings, which are exact because raw >> 11 fits a double
+and the scalings are powers of two, and np.sqrt, which IEEE 754 rounds
+correctly; the transcendentals go through math.log and math.cos over
+the column's .tolist(), since np.log (and np.cos on some platforms)
+rounds some results differently.
 """
 
 from __future__ import annotations
@@ -83,13 +91,13 @@ def to_uniform_pos(raw: int) -> float:
     return ((raw >> 11) + 1) * _INV_2_53
 
 
-def to_normal(raw1: int, raw2: int, mean: float = 0.0, std: float = 1.0) -> float:
-    """Normal(mean, std) deviate from two raw draws by Box-Muller.
+def normal_parts(raw1: int, raw2: int) -> tuple[float, float]:
+    """Box-Muller radius r and cosine c of two raw draws.
 
-    The sine branch is discarded, so each deviate consumes exactly two raws.
+    A Normal(mean, std) deviate is mean + std * r * c, in that order; the
+    sine branch is discarded, so each deviate consumes exactly two raws.
     """
-    r = math.sqrt(-2.0 * math.log(to_uniform_pos(raw1)))
-    return mean + std * r * math.cos(_TWO_PI * to_uniform(raw2))
+    return math.sqrt(-2.0 * math.log(to_uniform_pos(raw1))), math.cos(_TWO_PI * to_uniform(raw2))
 
 
 class RandomStream:
@@ -123,7 +131,8 @@ class RandomStream:
         return to_uniform_pos(self.next_raw())
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return to_normal(self.next_raw(), self.next_raw(), mean, std)
+        r, c = normal_parts(self.next_raw(), self.next_raw())
+        return mean + std * r * c
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p
@@ -166,3 +175,23 @@ def key_block(seed: int, lo: int, hi: int, names: list[str]) -> tuple[list[int],
     table = _mix64_array(keys[:, None] ^ addr)[:, :, None] + steps
     table[:, :, 1:] = _mix64_array(table[:, :, 1:])
     return keys.tolist(), table
+
+
+def block_inputs(table: np.ndarray, uniform: list[int], normal: list[int]) -> list[list[float]]:
+    """The draw inputs of a key_block table, converted in one pass per kind.
+
+    Row r lists to_uniform(raw1) of each column in uniform, then the
+    normal_parts(raw1, raw2) of each column in normal, two entries each,
+    where raw1, raw2 are table[r, j, 1:].
+    """
+    shifted = table[:, uniform + normal, 1:] >> np.uint64(11)
+    k = len(uniform)
+    out = np.empty((len(table), k + 2 * len(normal)))
+    out[:, :k] = shifted[:, :k, 0] * _INV_2_53
+    if normal:
+        pos = ((shifted[:, k:, 0] + np.uint64(1)) * _INV_2_53).ravel().tolist()
+        turn = (_TWO_PI * (shifted[:, k:, 1] * _INV_2_53)).ravel().tolist()
+        logs = np.array(list(map(math.log, pos))).reshape(len(table), -1)
+        out[:, k::2] = np.sqrt(-2.0 * logs)
+        out[:, k + 1::2] = np.array(list(map(math.cos, turn))).reshape(len(table), -1)
+    return out.tolist()

@@ -228,8 +228,11 @@ def generate_case(base_seed: int, index: int, n_blocks: int) -> tuple[ScmSpec, B
     """The index-th benchmark model and query of base_seed.
 
     Attempt k draws both from random.Random(derive_seed(base_seed, index,
-    k)); a degenerate graph moves on to the next attempt.
+    k)); a degenerate graph moves on to the next attempt.  Every graph of
+    fewer than 3 nodes is degenerate, as the first two are never targets.
     """
+    if n_blocks < 3:
+        raise ValueError(f"generate_case needs n_blocks of at least 3, got {n_blocks}")
     for attempt in itertools.count():
         gen = random.Random(derive_seed(base_seed, index, attempt))
         scm = generate_scm(gen, n_blocks=n_blocks)

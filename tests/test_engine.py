@@ -344,6 +344,15 @@ class TestStatements:
         with pytest.raises(ValueError, match="'cf' or 'iv'"):
             wi.run_inference(program, 5, seed=0)
 
+    def test_non_string_intervention_kind_rejected(self):
+        # was an AttributeError from kind.lower()
+        def program(ctx):
+            x = ctx.normal(0, 1, name="x")
+            ctx.do(x, 1.0, kind=None)
+
+        with pytest.raises(ValueError, match="'cf' or 'iv', got None"):
+            wi.run_inference(program, 5, seed=0)
+
     def test_predict_auto_labels_and_duplicates(self):
         def program(ctx):
             x = ctx.normal(0, 1, name="x")
@@ -759,6 +768,18 @@ def family_switch_program(ctx):
     ctx.predict(y.value, label="y")
 
 
+def latent_noise_program(ctx):
+    # n and b are observables no observe pins: their noises are drawn
+    # from the key block, an ObservableNormal's and an ObservableBernoulli's
+    x = ctx.normal(0, 1, name="x")
+    n = ctx.observable_normal(x.value, 0.5, name="n", depends_on=[x])
+    b = ctx.observable_bernoulli(n.value > 0.0, 0.3, name="b", depends_on=[n])
+    y = ctx.observable_normal(n.value + b.value, 1.0, name="y", depends_on=[n, b])
+    ctx.observe(y, 0.4)
+    ctx.do(x, 1.0, kind=wi.CF)
+    ctx.predict(b.value, label="b")
+
+
 def _one_at_a_time(program, n, seed):
     """run_inference's loop over the single-execution functions."""
     plan = discover(program, seed=seed)
@@ -811,7 +832,8 @@ class TestKeyBlocks:
     @pytest.mark.parametrize(
         "program",
         [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
-         uniform_program, proposal_program, iv_program, family_switch_program],
+         uniform_program, proposal_program, iv_program, family_switch_program,
+         latent_noise_program],
     )
     @pytest.mark.parametrize("workers", [1, 3])
     def test_blocked_run_matches_single_executions(self, program, workers):
@@ -825,7 +847,8 @@ class TestKeyBlocks:
     @pytest.mark.parametrize(
         "program",
         [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
-         uniform_program, proposal_program, iv_program, family_switch_program],
+         uniform_program, proposal_program, iv_program, family_switch_program,
+         latent_noise_program],
     )
     @pytest.mark.parametrize("workers", [1, 3])
     def test_rearmed_contexts_leak_nothing_between_samples(self, program, workers):
@@ -883,6 +906,8 @@ class TestKeyBlocks:
         assert block_names(beta_program) == {"p"}
         # an observed noisy-OR still starts its noise stream from the block
         assert block_names(noisy_or_program) == {"p0", "p1", "p2", "p3", "y::noise"}
+        # an unobserved observable draws its noise from the block
+        assert block_names(latent_noise_program) == {"x", "n::noise", "b::noise"}
 
     def test_block_streams_replace_scalar_keying(self):
         # digests cannot show which path ran: count scalar stream keyings

@@ -10,10 +10,13 @@ from whatif.rng import (
     RandomStream,
     _mix64,
     _mix64_array,
+    block_inputs,
     key_block,
     keyed_stream,
+    normal_parts,
     rng_for_address,
     sample_key,
+    to_uniform,
 )
 
 
@@ -142,3 +145,51 @@ def test_key_block_matches_the_scalar_path(seed, lo, n, names, ops):
             blocked = RandomStream(*starts[j])
             scalar = keyed_stream(sample_key(seed, i), name)
             assert _draw_hexes(blocked, ops) == _draw_hexes(scalar, ops)
+
+
+# raw 0 and 2**64 - 1 are the ends of both uniforms, so 2**64 - 1 gives
+# the Box-Muller radius sqrt(-0.0) == -0.0; 2**11 - 1 and 2**11 straddle
+# the first bit to survive the shift
+_EDGE_RAWS = (0, 2**64 - 1, 2**11 - 1, 2**11)
+
+
+def _hexes(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+def _scalar_inputs(table, uniform, normal):
+    """block_inputs' rows, converted cell by cell through its scalar twins."""
+    rows = []
+    for cells in table.tolist():
+        row = [to_uniform(cells[j][1]) for j in uniform]
+        for j in normal:
+            row.extend(normal_parts(cells[j][1], cells[j][2]))
+        rows.append(row)
+    return rows
+
+
+@given(st.integers(1, 4), st.lists(st.sampled_from("un-"), min_size=1, max_size=5), st.data())
+@settings(max_examples=200)
+def test_block_inputs_match_their_scalar_twins(n, kinds, data):
+    # each column is converted for a uniform draw, a normal draw, or not at all
+    raw = st.one_of(st.sampled_from(_EDGE_RAWS), st.integers(0, 2**64 - 1))
+    size = n * len(kinds) * 3
+    raws = data.draw(st.lists(raw, min_size=size, max_size=size))
+    table = np.array(raws, dtype=np.uint64).reshape(n, len(kinds), 3)
+    uniform = [j for j, k in enumerate(kinds) if k == "u"]
+    normal = [j for j, k in enumerate(kinds) if k == "n"]
+    got = block_inputs(table, uniform, normal)
+    assert _hexes(got) == _hexes(_scalar_inputs(table, uniform, normal))
+
+
+def test_block_normal_parts_keep_every_bit_on_a_fixed_corpus():
+    # 1e5 raw pairs and every pairing of the edge raws; a kernel taking
+    # np.log fails here, as numpy's log rounds some of them differently
+    # from math.log (numpy's cos may too, depending on the platform)
+    gen = np.random.default_rng(20261019)
+    table = gen.integers(0, 2**64, size=(25_000, 4, 3), dtype=np.uint64)
+    edges = np.array([[0, a, b] for a in _EDGE_RAWS for b in _EDGE_RAWS], dtype=np.uint64)
+    table = np.concatenate([table, edges.reshape(4, 4, 3)])
+    normal = [0, 1, 2, 3]
+    got = block_inputs(table, [], normal)
+    assert _hexes(got) == _hexes(_scalar_inputs(table, [], normal))

@@ -126,6 +126,14 @@ class TestGeneration:
         with pytest.raises(wi.DegenerateGraphError, match="degenerate graph"):
             wi.generate_query(gen, scm)
 
+    def test_generate_case_refuses_graphs_too_small_to_target(self):
+        # 1 and 2 blocks used to redraw degenerate graphs forever
+        for n_blocks in (1, 2):
+            with pytest.raises(ValueError, match=f"n_blocks of at least 3, got {n_blocks}"):
+                wi.generate_case(0, 0, n_blocks)
+        scm, query = wi.generate_case(0, 0, 3)
+        assert len(scm.nodes) == 3 and query.target == "n2"
+
     def test_generate_case_regenerates_degenerate_graphs(self):
         def draw(index, attempt):
             gen = random.Random(wi.derive_seed(0, index, attempt))
