@@ -33,7 +33,8 @@ handler of the current phase:
 The engine tells families apart only as Delta, dists.PLAIN_FAMILIES
 (implicit randomness) and dists.OBSERVABLE_FAMILIES (explicit noise,
 with sample_noise / output / noise_log_prior / absorb), and by
-dists.RAW_FAMILIES, the ones it can draw from a key block's raws.
+dists.RAW_FAMILIES, the ones it can draw from a key block's raws; a spec
+of any other class raises EngineError where it is first drawn.
 
 So a counterfactual query costs 2N + 1 program executions, anything
 else N + 1.  Every random draw comes from a stream keyed by (seed,
@@ -79,6 +80,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -200,6 +202,7 @@ class ExecutionContext:
         "_auto",
         "_tainted",
         "_pred_i",
+        "_forces",
     )
 
     def __init__(self, phase: int, plan: QueryPlan, columns: dict[str, int] = _NO_COLUMNS,
@@ -210,6 +213,9 @@ class ExecutionContext:
         self._columns = columns
         # addr -> _abduction_action's answer for the family discovery saw there
         self._actions = actions
+        # the addresses a do forces in this phase: iv dos in abduction, every do in replay
+        self._forces = frozenset(a for a, iv in plan.interventions.items()
+                                 if phase == REPLAY or (phase == ABDUCTION and iv.kind == IV))
         self.trace = self.abducted = self._block = self._inputs = self._tainted = None
         self._key = self._row = self._auto = self._pred_i = 0
 
@@ -372,6 +378,11 @@ class ExecutionContext:
             value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
             term = lp if lp == _NEG_INF else lp - lq  # a latent's entry_contribution
             return self._record(addr, value, lp, lq, LATENT, parents, None, term)
+        if fam not in OBSERVABLE_FAMILIES:
+            raise EngineError(
+                f"{fam.__name__} at {addr!r} is not a family the engine knows: a spec "
+                "must be Delta or in dists.PLAIN_FAMILIES or dists.OBSERVABLE_FAMILIES"
+            )
         noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
@@ -551,18 +562,17 @@ class ExecutionContext:
         The memo is the trace itself: an address already recorded in this
         execution returns its entry without calling thunk(*args).
 
-        For an address forced by an intervention in the current phase the
-        forced value is recorded, with the parents discovery saw declared
-        there, and the thunk never runs, so none of its ancestors are
-        evaluated on its account.
+        For an address the current phase forces (in _forces) the forced
+        value is recorded, with the parents discovery saw declared there,
+        and the thunk never runs, so none of its ancestors are evaluated on
+        its account.
         """
         got = self.trace.entries.get(name)
         if got is not None:
             return got
-        iv, phase = self.plan.interventions.get(name), self.phase
-        # an iv do forces in abduction and replay, a cf do only in replay
-        if iv is not None and (phase == REPLAY or (phase == ABDUCTION and iv.kind == IV)):
-            return self._forced(name, self.plan.parents.get(name, ()), iv)
+        if name in self._forces:
+            plan = self.plan
+            return self._forced(name, plan.parents.get(name, ()), plan.interventions[name])
         choice = thunk(*args)
         if not isinstance(choice, Choice) or choice.address != name:
             raise EngineError(
@@ -778,6 +788,8 @@ def run_inference(
     the result is flagged degenerate.  The result also counts the
     executions of each phase and sums their wall time over workers.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise TypeError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     t0 = time.perf_counter()
@@ -862,6 +874,8 @@ def ess(log_weights) -> float:
 def estimate_expectation(result: InferenceResult, label: str | None = None) -> float:
     """Self-normalized importance estimate of the labeled prediction."""
     labels = {lab for p in result.predictions for lab in p}
+    if not labels:
+        raise ValueError("result has no predictions: the program has no predict statement")
     if label is None:
         if len(labels) != 1:
             raise ValueError(

@@ -36,8 +36,10 @@ def linear_threshold(theta: tuple[float, ...], parent_values):
     Accumulates v * t in declaration order, so parent values may be bools
     or numpy bool columns (one sum per row).  A false parent adds a zero,
     which leaves the sum's bits alone because acc is never -0.0.  The
-    exact oracle calls this on columns, so borderline sums agree bitwise
-    between sampled runs and the oracle.
+    exact oracle calls this on columns, and scm._node_choice sums the same
+    way while it reads a node's parents (a test pins the two together bit
+    for bit), so borderline sums agree bitwise between sampled runs and
+    the oracle.
     """
     acc = 0.0
     for t, v in zip(theta, parent_values):
@@ -261,20 +263,25 @@ def _node_specs(node: ScmNode, evidence: dict[str, bool]):
 def _node_choice(ctx, nodes, nid: str):
     """Instantiate node nid; eager and lazy programs both build it here.
 
-    One walk over the node's parents reads each from the trace; only a lazy
-    program can find one missing, and asks the gate for it."""
+    One walk over the node's parents reads each from the trace and sums
+    the threshold as linear_threshold does, in declaration order from 0.0,
+    which test_node_walk_sums_like_linear_threshold pins bit for bit.  Only
+    a lazy program can find a parent missing.  It builds that parent here,
+    unless the phase forces it: then the gate records the forced value, so
+    none of the parent's ancestors are evaluated on its account."""
     node, specs = nodes[nid]
     if node.kind == PRIOR:
         prior, proposal = specs
         return ctx._choose(prior, nid, (), proposal)  # sample's positional entry
     entries = ctx.trace.entries
-    values = []
-    for p in node.parents:
+    acc = 0.0
+    for p, t in zip(node.parents, node.theta):
         parent = entries.get(p)
         if parent is None:
-            parent = ctx.value_if_needed(p, _node_choice, ctx, nodes, p)
-        values.append(parent.value)
-    return ctx._choose(specs[linear_threshold(node.theta, values)], nid, node.parents, None)
+            parent = (ctx.value_if_needed(p, _node_choice, ctx, nodes, p) if p in ctx._forces
+                      else _node_choice(ctx, nodes, p))
+        acc += parent.value * t
+    return ctx._choose(specs[acc > 0.5], nid, node.parents, None)
 
 
 def _eager_program(ctx, nodes, query: BenchQuery):

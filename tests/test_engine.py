@@ -429,6 +429,41 @@ class TestStatements:
             wi.run_inference(program, n, seed=0)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("n", [True, 1.5, "3"])
+    def test_non_integer_sample_count_refused_before_discovery(self, n):
+        # True ran one sample, 1.5 failed in range() after discovery, "3" at the < test
+        calls = [0]
+
+        def program(ctx):
+            calls[0] += 1
+            two_node_program(ctx)
+
+        with pytest.raises(TypeError, match=f"n_samples must be an integer, got {n!r}"):
+            wi.run_inference(program, n, seed=0)
+        assert calls[0] == 0
+        assert wi.run_inference(program, np.int64(3), seed=0).executions["abduction"] == 3
+
+    @pytest.mark.parametrize("where", ["discovery", "abduction", "replay"])
+    def test_unknown_family_names_the_address_and_family(self, where):
+        # was an AttributeError for the missing sample_noise
+        class MyDist:
+            pass
+
+        def program(ctx):
+            if where == "discovery":
+                ctx.sample(MyDist(), name="x")
+                return
+            # discovery and abduction draw x False; the do opens y's branch
+            x = ctx.bernoulli(0.0, name="x")
+            ctx.do(x, True, kind=wi.IV if where == "abduction" else wi.CF)
+            if x.value:
+                ctx.sample(MyDist(), name="y", depends_on=[x])
+            ctx.predict(x.value, label="x")
+
+        addr = "x" if where == "discovery" else "y"
+        with pytest.raises(EngineError, match=f"MyDist at '{addr}' is not a family"):
+            wi.run_inference(program, 3, seed=0)
+
 
 class TestExecutionCounts:
     @pytest.mark.parametrize("workers", [1, 3])
@@ -648,6 +683,15 @@ class TestEstimators:
         with pytest.raises(ValueError, match="pass label"):
             wi.estimate_expectation(res)
         assert wi.estimate_expectation(res, "b") == 2.0
+
+    def test_estimate_names_a_missing_predict_statement(self):
+        def program(ctx):
+            ctx.normal(0, 1, name="x")
+
+        res = wi.run_inference(program, 3, seed=0)
+        for label in (None, "x"):
+            with pytest.raises(ValueError, match="program has no predict statement"):
+                wi.estimate_expectation(res, label)
 
     def test_estimate_raises_when_all_rejected(self):
         res = wi.InferenceResult(

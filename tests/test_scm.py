@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 
@@ -273,6 +274,67 @@ class TestPrograms:
                             forced[phase] += 1
         # a cf do forces only in replay; an iv query forces in abduction and has no replay
         assert forced["replay" if kind == "cf" else "abduction"] > 0
+
+    @pytest.mark.parametrize("style", ["eager", "lazy"])
+    def test_node_walk_sums_like_linear_threshold(self, style):
+        # y's true parents a, b, d sum to exactly 0.5 in declaration order, so
+        # f = False; summed in reverse, or by math.fsum, they pass 0.5
+        theta = (0.05, 0.35, 0.5, 0.10000000000000009)
+        borderline = [True, True, False, True]
+        assert linear_threshold(theta, borderline) is False
+        true_thetas = list(itertools.compress(theta, borderline))
+        assert math.fsum(true_thetas) > 0.5 and sum(reversed(true_thetas)) > 0.5
+        scm = ScmSpec(
+            tuple(ScmNode(n, "prior", p=0.5) for n in "abcd")
+            + (
+                ScmNode("y", "dependent", parents=tuple("abcd"), theta=theta, q=0.3),
+                ScmNode("z", "dependent", parents=("y",), theta=(1.0,), q=0.2),
+            )
+        )
+        # a, b, d pinned true; c drawn in abduction and cf-forced false in replay
+        query = BenchQuery(
+            evidence={"a": True, "b": True, "d": True}, intervention=("c", False), target="z"
+        )
+        res = wi.run_inference(wi.build_program(scm, query, style), 200, seed=3,
+                               keep_traces=True)
+        seen = {"abduction": 0, "replay": 0}
+        for pair in res.traces:
+            for phase, trace in zip(seen, pair):
+                for addr, entry in trace.entries.items():
+                    node = scm.node(addr)
+                    if node.kind != "dependent":
+                        continue
+                    values = [trace[p].value for p in node.parents]
+                    f = linear_threshold(node.theta, values)
+                    assert (entry.value != entry.noise) == f, (phase, addr, values)
+                    seen[phase] += values == borderline
+        assert seen["abduction"] > 0 and seen["replay"] == len(res.traces)
+
+    @pytest.mark.parametrize("kind, phase", [("cf", 1), ("iv", 0)])
+    def test_lazy_walk_skips_the_ancestors_of_a_forced_parent(self, kind, phase):
+        # the target t reads the do node d as a parent; a0 and a1 reach t only
+        # through d, so a phase that forces d never needs them
+        scm = ScmSpec(
+            (
+                ScmNode("a0", "prior", p=0.5),
+                ScmNode("a1", "dependent", parents=("a0",), theta=(1.0,), q=0.3),
+                ScmNode("d", "dependent", parents=("a1",), theta=(1.0,), q=0.3),
+                ScmNode("o", "prior", p=0.5),
+                ScmNode("t", "dependent", parents=("d", "o"), theta=(0.6, 0.4), q=0.2),
+            )
+        )
+        query = BenchQuery(evidence={"t": True}, intervention=("d", False), target="t",
+                           kind=kind)
+        eager, lazy = (
+            wi.run_inference(wi.build_program(scm, query, style), 50, seed=1,
+                             keep_traces=True)
+            for style in ("eager", "lazy")
+        )
+        assert wi.estimate_expectation(eager) == wi.estimate_expectation(lazy)
+        for e_pair, l_pair in zip(eager.traces, lazy.traces):
+            assert e_pair[phase]["d"].role == l_pair[phase]["d"].role == "intervened"
+            assert {"a0", "a1"} <= set(e_pair[phase].entries)
+            assert set(l_pair[phase].entries) == {"d", "o", "t"}
 
     @pytest.mark.parametrize("style", ["eager", "lazy"])
     def test_no_spec_is_built_per_choice(self, style, monkeypatch):
