@@ -66,9 +66,12 @@ it out once per address discovery saw, with _abduction_action, the one
 rule, and keeps the answers in an action table keyed by address.  A choice
 whose family matches the table's costs one lookup there; any other
 choice (an address discovery never saw, another family at the address,
-every choice of a single execution) asks the rule again.  Replay copies
-a choice that no do forces and no tainted parent reaches straight from
-the abducted trace.  A chunk builds one abduction and one replay
+every choice of a single execution) asks the rule again.  Replay carries
+a choice that no do forces and no tainted parent reaches over from the
+abducted trace: it stores the abducted entry itself, with one dict write,
+unless the choice now declares other parents, which get an entry of
+their own.  So a handle is read-only: a carried one is shared by both
+traces.  A chunk builds one abduction and one replay
 context and rearms them for each sample (ExecutionContext._run), so a
 context is valid only during the call it is passed to.  A replay trace
 starts holding the abducted log-weight as its one term; a rejected
@@ -327,7 +330,15 @@ class ExecutionContext:
             tainted = self._tainted
             prev = self.abducted.entries.get(addr)
             if prev is not None and (not tainted or tainted.isdisjoint(parents)):
-                # Not downstream of a cf intervention: the abducted world carries over.
+                # Not downstream of a cf intervention: the abducted world carries
+                # over, as the abducted entry itself where it declared these parents.
+                if parents == prev.parents:
+                    entries = self.trace.entries
+                    if addr in entries:
+                        raise AddressCollisionError(
+                            f"address collision: {addr!r} already recorded")
+                    entries[addr] = prev
+                    return prev
                 return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents, prev.noise)
             return self._replay(addr, spec, parents, prev)
         self.plan.parents[addr] = parents
@@ -448,7 +459,7 @@ class ExecutionContext:
         back to its prior, or declares a tainted parent.  Programs create
         parents before children, so this per-execution taint is exact
         even where control flow differs from the discovery execution.
-        _choose forces and copies every other choice; prev is the
+        _choose forces or carries every other choice; prev is the
         abducted entry at addr, or None.
         """
         self._tainted.add(addr)
@@ -788,10 +799,12 @@ def run_inference(
     the result is flagged degenerate.  The result also counts the
     executions of each phase and sums their wall time over workers.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
-        raise TypeError(f"n_samples must be an integer, got {n_samples!r}")
+    for name, value in (("n_samples", n_samples), ("workers", workers), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    seed = int(seed)  # a numpy seed would overflow rng's 64-bit masking
     t0 = time.perf_counter()
     plan = discover(program, seed=seed, strict_endogeneity=strict_endogeneity)
     discovery_s = time.perf_counter() - t0
@@ -882,6 +895,8 @@ def estimate_expectation(result: InferenceResult, label: str | None = None) -> f
                 f"result has predictions {sorted(labels)}; pass label explicitly"
             )
         label = labels.pop()
+    elif label not in labels:
+        raise ValueError(f"result has no predictions labelled {label!r}; it has {sorted(labels)}")
     lw = result.log_weights
     finite = np.isfinite(lw)
     if not finite.any():

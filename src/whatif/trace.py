@@ -10,10 +10,17 @@ importance weight:
     observed    contributes log_prior (the absorbed likelihood)
     intervened  contributes nothing
 
-The total log-weight is the exact (fsum) sum of the contributions, so it
-does not depend on the order entries were recorded in.  That exactness is
-load-bearing: lazy and eager evaluation record the same entries in
-different orders and must end up with bitwise-equal weights.
+A trace's log-weight is the exact (fsum) sum of its terms, so it does not
+depend on the order they were added in.  That exactness is load-bearing:
+lazy and eager evaluation record the same entries in different orders and
+must end up with bitwise-equal weights.  In a sampled trace the terms are
+the entries' contributions.  A replay trace instead starts from the
+abducted log-weight as its one term and adds no other non-zero one: an
+entry it carries over is the abducted entry itself, with the abduction's
+log densities, which are not summed a second time.
+
+Entries are read-only once recorded: replay shares each carried entry
+with the abducted trace, so writing one would change both worlds.
 """
 
 from __future__ import annotations

@@ -254,6 +254,67 @@ class TestReplay:
         with pytest.raises(StaleTraceError, match="stale trace"):
             counterfactual_replay(abd, plan, bigger, 3, 0)
 
+    def test_carried_choices_are_the_abducted_entries(self):
+        def program(ctx):
+            a = ctx.normal(0, 1, name="a")
+            b = ctx.normal(0, 1, name="b")
+            e = ctx.normal(0, 1, name="e")
+            u = ctx.observable_normal(a.value, 1, name="u", depends_on=[a])
+            ctx.observe(u, 0.2)
+            c = ctx.observable_normal(a.value + b.value, 1, name="c", depends_on=[a, b])
+            ctx.observe(c, 0.3)
+            d = ctx.delta(c.value + e.value, name="d", depends_on=[c, e])
+            ctx.do(b, 9.0, kind=wi.CF)
+            ctx.do(e, 1.0, kind=wi.IV)
+            ctx.predict(d.value, label="d")
+
+        plan, abd = self.plan_and_trace(program)
+        rep = counterfactual_replay(abd, plan, program, 3, 0)
+        # a and the observed u are not downstream of b: replay holds the
+        # abducted objects themselves, with the abduction's weight fields
+        for addr in ("a", "u"):
+            assert rep[addr] is abd[addr]
+        assert rep["u"].log_prior != 0.0
+        # forced (cf and iv) and downstream choices are entries of their own
+        for addr in ("b", "e", "c", "d"):
+            assert rep[addr] is not abd[addr]
+        assert rep["b"].value == 9.0 and rep["e"].value == 1.0
+        assert rep.log_weight == abd.log_weight
+
+    def test_carried_address_issued_twice_collides(self):
+        def program(ctx):
+            a = ctx.normal(0, 1, name="a")
+            b = ctx.bernoulli(0.5, name="b")
+            ctx.do(b, True, kind=wi.CF)
+            if not ctx.observing():
+                ctx.normal(0, 1, name="a")  # only replay issues a twice
+            ctx.predict(a.value, label="a")
+
+        plan, abd = self.plan_and_trace(program)
+        with pytest.raises(wi.AddressCollisionError, match="'a' already recorded"):
+            counterfactual_replay(abd, plan, program, 3, 0)
+        with pytest.raises(wi.AddressCollisionError, match="'a' already recorded"):
+            wi.run_inference(program, 5, seed=0)
+
+    def test_carried_choice_with_new_parents_records_them(self):
+        def program(ctx):
+            w = ctx.normal(0, 1, name="w")
+            x = ctx.normal(0, 1, name="x")
+            t = ctx.normal(0, 1, name="t")
+            # replay declares one more untainted parent than abduction did
+            parents = [w] if ctx.observing() else [w, x]
+            y = ctx.observable_normal(w.value, 1, name="y", depends_on=parents)
+            ctx.do(t, 2.0, kind=wi.CF)
+            ctx.predict(y.value + t.value, label="s")
+
+        plan, abd = self.plan_and_trace(program)
+        rep = counterfactual_replay(abd, plan, program, 3, 0)
+        assert rep["w"] is abd["w"] and rep["x"] is abd["x"]
+        assert rep["y"] is not abd["y"]
+        assert abd["y"].parents == ("w",)
+        assert rep["y"].parents == ("w", "x")
+        assert (rep["y"].value, rep["y"].noise) == (abd["y"].value, abd["y"].noise)
+
 
 class TestStatements:
     def test_observation_unseen_by_discovery_is_stale(self):
@@ -442,6 +503,27 @@ class TestStatements:
             wi.run_inference(program, n, seed=0)
         assert calls[0] == 0
         assert wi.run_inference(program, np.int64(3), seed=0).executions["abduction"] == 3
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [("workers", 1.5), ("workers", "2"), ("workers", True), ("seed", 1.5), ("seed", "7"),
+         ("seed", None)],
+    )
+    def test_non_integer_workers_or_seed_refused_before_discovery(self, param, value):
+        # workers=1.5 failed in np.linspace after discovery, "2" at the <= test,
+        # seed=1.5 in rng's masking
+        calls = [0]
+
+        def program(ctx):
+            calls[0] += 1
+            two_node_program(ctx)
+
+        with pytest.raises(TypeError, match=f"{param} must be an integer, got {value!r}"):
+            wi.run_inference(program, 3, **{param: value})
+        assert calls[0] == 0
+        numpy_int = wi.run_inference(program, 3, **{param: np.int64(2)})
+        plain_int = wi.run_inference(program, 3, **{param: 2})
+        assert numpy_int.log_weights.tobytes() == plain_int.log_weights.tobytes()
 
     @pytest.mark.parametrize("where", ["discovery", "abduction", "replay"])
     def test_unknown_family_names_the_address_and_family(self, where):
@@ -693,6 +775,11 @@ class TestEstimators:
             with pytest.raises(ValueError, match="program has no predict statement"):
                 wi.estimate_expectation(res, label)
 
+    def test_estimate_names_a_label_no_prediction_carries(self):
+        res = wi.run_inference(two_node_program, 3, seed=0)
+        with pytest.raises(ValueError, match=r"no predictions labelled 'nope'; it has \['y'\]"):
+            wi.estimate_expectation(res, "nope")
+
     def test_estimate_raises_when_all_rejected(self):
         res = wi.InferenceResult(
             predictions=[{"t": 1.0}],
@@ -911,6 +998,25 @@ class TestKeyBlocks:
                 continue
             assert _fields(rep) == _fields(counterfactual_replay(fresh, plan, program, seed, i))
             assert rep.log_weight.hex() == abd.log_weight.hex()
+
+    @pytest.mark.parametrize(
+        "program",
+        [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
+         uniform_program, proposal_program, iv_program, family_switch_program,
+         latent_noise_program],
+    )
+    def test_replay_never_writes_an_abducted_entry(self, program):
+        # replay shares every carried entry with the abducted trace
+        seed = 21
+        plan = discover(program, seed=seed)
+        for i in range(40):
+            abd = abduction_sample(program, plan, seed, i)
+            if not plan.needs_replay or abd.rejected:
+                continue
+            before = copy.deepcopy(abd)
+            counterfactual_replay(abd, plan, program, seed, i)
+            assert _fields(abd) == _fields(before)
+            assert abd.terms == before.terms
 
     def test_stale_sample_mid_block_leaves_the_next_run_alone(self):
         runs = [0]
