@@ -31,11 +31,18 @@ observable members absorb by inverting output(), drawing nothing, and
 take stream None.  Beta's rejection loop and ObservableNoisyOr's
 per-parent noises draw an unbounded or larger count and keep the stream.
 
-Every spec is a slotted value object: equal by its fields, not hashable,
-and never written to by the engine, so a program may build one once and
-pass it in every execution, as scm.build_program does.  A spec is built
-for nearly every choice, so they are not frozen: a frozen dataclass pays
-an object.__setattr__ per field.
+Every spec is a slotted value object: equal, repr'd, copied and pickled
+by its declared fields, not hashable, and never written to by the
+engine, so a program may build one once and pass it in every execution,
+as scm.build_program does.  A spec is built for nearly every choice, so
+they are not frozen (a frozen dataclass pays an object.__setattr__ per
+field), but a spec is read-only once built.  Bernoulli and
+ObservableBernoulli compute both log masses at construction, through
+_bernoulli_log_mass, and score by picking one; writing p or flip_prob
+afterwards is unsupported.  Normal, Uniform and ObservableNoisyOr cache
+nothing on purpose: Gaussian and most user programs build them per call,
+and replay constructs them without scoring them, so a cache would cost
+more than it saves.
 
 Densities are returned in nats.  Zero-probability outcomes score -inf.
 """
@@ -43,7 +50,7 @@ Densities are returned in nats.  Zero-probability outcomes score -inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rng import RandomStream, normal_parts, to_uniform
 
@@ -83,13 +90,21 @@ class Normal:
 @dataclass(slots=True)
 class Bernoulli:
     p: float
+    # log masses of True and False, fixed at construction (see the module doc)
+    _log_true: float = field(init=False, repr=False, compare=False)
+    _log_false: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"Bernoulli p must lie in [0, 1], got {self.p}")
+        self._log_true = _bernoulli_log_mass(self.p, True)
+        self._log_false = _bernoulli_log_mass(self.p, False)
+
+    def __reduce__(self):
+        return type(self), (self.p,)
 
     def log_density(self, value: bool) -> float:
-        return _bernoulli_log_mass(self.p, bool(value))
+        return self._log_true if value else self._log_false
 
     def draw_from(self, inputs, i: int) -> bool:
         return inputs[i] < self.p
@@ -223,15 +238,23 @@ class ObservableBernoulli:
 
     f_value: bool
     flip_prob: float
+    # log masses of a flip and of none, fixed at construction
+    _log_flip: float = field(init=False, repr=False, compare=False)
+    _log_keep: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError(
                 f"ObservableBernoulli flip_prob must lie in [0, 1], got {self.flip_prob}"
             )
+        self._log_flip = _bernoulli_log_mass(self.flip_prob, True)
+        self._log_keep = _bernoulli_log_mass(self.flip_prob, False)
+
+    def __reduce__(self):
+        return type(self), (self.f_value, self.flip_prob)
 
     def noise_log_prior(self, noise: bool) -> float:
-        return _bernoulli_log_mass(self.flip_prob, noise)
+        return self._log_flip if noise else self._log_keep
 
     def draw_noise_from(self, inputs, i: int) -> bool:
         return inputs[i] < self.flip_prob

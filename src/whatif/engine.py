@@ -245,6 +245,12 @@ class ExecutionContext:
             self._tainted = set()
             trace.terms.append(log_weight)
         program(self)
+        if self.phase == ABDUCTION and self._pred_i < len(self.plan.predicts):
+            # replay may skip a predict, as a cf do can change control flow
+            raise StaleTraceError(
+                f"stale trace: predict {self.plan.predicts[self._pred_i][0]!r} "
+                "recorded during discovery was not issued"
+            )
         return trace
 
     # -- procedure constructors -------------------------------------------
@@ -539,6 +545,9 @@ class ExecutionContext:
 
         counterfactual=True reports the value from the replay execution
         when one runs; otherwise the abduction-phase value is reported.
+        Every abduction execution must issue the predicts discovery
+        recorded, in order (_run checks that none is missing); a replay
+        that skips one keeps the abduction value as its fallback.
         """
         plan = self.plan
         if self.phase == DISCOVERY:

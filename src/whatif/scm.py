@@ -37,9 +37,9 @@ def linear_threshold(theta: tuple[float, ...], parent_values):
     or numpy bool columns (one sum per row).  A false parent adds a zero,
     which leaves the sum's bits alone because acc is never -0.0.  The
     exact oracle calls this on columns, and scm._node_choice sums the same
-    way while it reads a node's parents (a test pins the two together bit
-    for bit), so borderline sums agree bitwise between sampled runs and
-    the oracle.
+    way while it walks the model's (parent, theta) table, reading each
+    parent (a test pins the two together bit for bit), so borderline sums
+    agree bitwise between sampled runs and the oracle.
     """
     acc = 0.0
     for t, v in zip(theta, parent_values):
@@ -89,6 +89,9 @@ class ScmSpec:
 
     nodes: tuple[ScmNode, ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False)
+    # dependent node id -> (parents, its (parent, theta) pairs), the walk
+    # every program of the model shares
+    _walks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -118,6 +121,8 @@ class ScmSpec:
                 raise ValueError(f"{ctx}: theta must sum to 1, got {sum(node.theta)!r}")
             seen.add(node.id)
         object.__setattr__(self, "_index", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "_walks", {n.id: (n.parents, tuple(zip(n.parents, n.theta)))
+                                            for n in self.nodes if n.kind == DEPENDENT})
 
     def node(self, node_id: str) -> ScmNode:
         try:
@@ -263,25 +268,30 @@ def _node_specs(node: ScmNode, evidence: dict[str, bool]):
 def _node_choice(ctx, nodes, nid: str):
     """Instantiate node nid; eager and lazy programs both build it here.
 
-    One walk over the node's parents reads each from the trace and sums
-    the threshold as linear_threshold does, in declaration order from 0.0,
-    which test_node_walk_sums_like_linear_threshold pins bit for bit.  Only
-    a lazy program can find a parent missing.  It builds that parent here,
-    unless the phase forces it: then the gate records the forced value, so
-    none of the parent's ancestors are evaluated on its account."""
-    node, specs = nodes[nid]
-    if node.kind == PRIOR:
+    nodes[nid] is (walk, specs), walk None for a root and the model's
+    (parents, pairs) for a dependent node, pairs being its (parent, theta)
+    tuples.  One walk over the pairs reads each parent from the trace and
+    sums the threshold as linear_threshold does, in declaration order from
+    0.0, which test_node_walk_sums_like_linear_threshold pins bit for bit.
+    The walks are built once per model (ScmSpec._walks), so a walk builds
+    no zip and reads no ScmNode.  Only a lazy program can find a parent
+    missing.  It builds that parent here, unless the phase forces it: then
+    the gate records the forced value, so none of the parent's ancestors
+    are evaluated on its account."""
+    walk, specs = nodes[nid]
+    if walk is None:
         prior, proposal = specs
         return ctx._choose(prior, nid, (), proposal)  # sample's positional entry
+    parents, pairs = walk
     entries = ctx.trace.entries
     acc = 0.0
-    for p, t in zip(node.parents, node.theta):
+    for p, t in pairs:
         parent = entries.get(p)
         if parent is None:
             parent = (ctx.value_if_needed(p, _node_choice, ctx, nodes, p) if p in ctx._forces
                       else _node_choice(ctx, nodes, p))
         acc += parent.value * t
-    return ctx._choose(specs[acc > 0.5], nid, node.parents, None)
+    return ctx._choose(specs[acc > 0.5], nid, parents, None)
 
 
 def _eager_program(ctx, nodes, query: BenchQuery):
@@ -290,7 +300,7 @@ def _eager_program(ctx, nodes, query: BenchQuery):
         _node_choice(ctx, nodes, nid)
     entries = ctx.trace.entries
     for nid, val in query.evidence.items():
-        if nodes[nid][0].kind == DEPENDENT:
+        if nodes[nid][0] is not None:  # a dependent node; a root's evidence is its proposal
             ctx.observe(entries[nid], val)
     d, d_value = query.intervention
     ctx.do(entries[d], d_value, kind=query.kind)
@@ -308,7 +318,7 @@ def _lazy_program(ctx, nodes, query: BenchQuery):
     if ctx.observing():
         for nid, val in query.evidence.items():
             choice = gate(nid, _node_choice, ctx, nodes, nid)
-            if nodes[nid][0].kind == DEPENDENT:
+            if nodes[nid][0] is not None:
                 ctx.observe(choice, val)
     if ctx.intervening():
         d, d_value = query.intervention
@@ -336,11 +346,13 @@ def check_query(scm: ScmSpec, query: BenchQuery) -> None:
 
 
 def build_program(scm: ScmSpec, query: BenchQuery, style: str = "eager"):
-    """Picklable program for one (model, query) pair; builds every spec it samples."""
+    """Picklable program for one (model, query) pair; builds every spec it
+    samples, and shares the model's walk table (see _node_choice)."""
     check_query(scm, query)
     if style not in ("eager", "lazy"):
         raise ValueError(f"style must be 'eager' or 'lazy', got {style!r}")
-    nodes = {node.id: (node, _node_specs(node, query.evidence)) for node in scm.nodes}
+    nodes = {node.id: (scm._walks.get(node.id), _node_specs(node, query.evidence))
+             for node in scm.nodes}
     body = _eager_program if style == "eager" else _lazy_program
     return partial(body, nodes=nodes, query=query)
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -14,6 +16,7 @@ from whatif.dists import (
     ObservableNoisyOr,
     ObservableNormal,
     Uniform,
+    _bernoulli_log_mass,
     draw_and_score,
     sample_and_score,
 )
@@ -145,6 +148,46 @@ def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
             assert list(map(_bits, drawn)) == list(map(_bits, sampled))
     for spec in (ObservableNormal(loc, scale), ObservableBernoulli(True, p)):
         assert _bits(spec.draw_noise(raw1, raw2)) == _bits(spec.sample_noise(started()))
+
+
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(-0.0)
+@example(0.5)
+@example(1.0)
+@example(5e-324)
+@example(1 - 2**-53)
+def test_cached_masses_are_the_rule_bit_for_bit(p):
+    # both families fix their log masses at construction; a score must
+    # still read what _bernoulli_log_mass gives, -0.0 and -inf included
+    rule = [_bernoulli_log_mass(p, v).hex() for v in (True, False)]
+    for score in (Bernoulli(p).log_density, ObservableBernoulli(False, p).noise_log_prior):
+        assert [score(True).hex(), score(False).hex()] == rule
+        assert [score(1).hex(), score(0).hex()] == rule  # picked by truthiness, as bool() did
+
+
+@pytest.mark.parametrize(
+    "spec, declared",
+    [(Bernoulli(0.3), (0.3,)), (Bernoulli(-0.0), (-0.0,)),
+     (ObservableBernoulli(True, 0.2), (True, 0.2))],
+)
+def test_cached_masses_stay_out_of_equality_repr_copy_and_pickle(spec, declared):
+    # a copy or an unpickled spec is rebuilt from the declared fields,
+    # which recomputes the same masses
+    assert spec.__reduce__() == (type(spec), declared)
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and repr(twin) == repr(spec)
+        assert [repr(getattr(twin, s)) for s in spec.__slots__] == [
+            repr(getattr(spec, s)) for s in spec.__slots__
+        ]
+
+
+def test_cached_masses_are_not_declared_fields():
+    assert repr(Bernoulli(0.3)) == "Bernoulli(p=0.3)"
+    assert repr(ObservableBernoulli(True, 0.2)) == "ObservableBernoulli(f_value=True, flip_prob=0.2)"
+    # equality reads declared fields only: -0.0 == 0.0 though a mass's bits differ
+    assert Bernoulli(-0.0) == Bernoulli(0.0)
+    assert Bernoulli(0.0).log_density(False).hex() != Bernoulli(-0.0).log_density(False).hex()
 
 
 def test_draw_and_score_refuses_a_mismatched_proposal():

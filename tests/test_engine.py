@@ -355,6 +355,43 @@ class TestStatements:
         with pytest.raises(StaleTraceError, match="label changed"):
             abduction_sample(relabelled, discover(relabelled), 0, 0)
 
+    def test_skipped_predict_names_the_missing_label(self):
+        # was a bare KeyError: 'a' from estimate_expectation, when discovery
+        # took the predict and some abduction execution did not
+        def program(ctx):
+            c = ctx.bernoulli(0.5, name="c")
+            if c.value:
+                ctx.predict(1.0, label="a")
+
+        for seed in range(6):
+            took = bool(discover(program, seed=seed).predicts)
+            match = "predict 'a' recorded during discovery" if took else "not present"
+            with pytest.raises(StaleTraceError, match=match):
+                wi.estimate_expectation(wi.run_inference(program, 50, seed=seed), "a")
+        # the single-execution path checks it too
+        plan = discover(program, seed=0)
+        assert plan.predicts == [("a", True)]
+        skipped = 0
+        for i in range(20):
+            try:
+                assert abduction_sample(program, plan, 0, i).predictions == [("a", 1.0)]
+            except StaleTraceError as exc:
+                assert "predict 'a'" in str(exc)
+                skipped += 1
+        assert 0 < skipped < 20
+
+    def test_replay_may_skip_a_predict(self):
+        # a cf do can change control flow; abduction's fallback value stands
+        def program(ctx):
+            x = ctx.observable_bernoulli(True, 0.0, name="x")
+            ctx.do(x, False)
+            if x.value:
+                ctx.predict(1.0, label="a")
+
+        res = wi.run_inference(program, 20, seed=0)
+        assert res.executions["replay"] == 20
+        assert wi.estimate_expectation(res, "a") == 1.0
+
     def test_observe_plain_procedure_rejected(self):
         def program(ctx):
             x = ctx.normal(0, 1, name="x")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whatif as wi
+from whatif import engine, scm as scm_module
 from whatif.engine import descendant_closure, discover
 from whatif.scm import (
     BenchQuery,
@@ -351,6 +352,47 @@ class TestPrograms:
             monkeypatch.setattr(family, "__post_init__", counted)
         wi.run_inference(program, 300, seed=2)
         assert built == []
+
+    @pytest.mark.parametrize("style", ["eager", "lazy"])
+    def test_node_walk_builds_no_zip(self, style):
+        # each node walk reads the model's (parent, theta) table; a zip per
+        # walk was a measurable share of every SCM query
+        program = wi.build_program(*wi.generate_case(0, 0, 12), style)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return zip(*args)
+
+        real_discover = engine.discover
+        with pytest.MonkeyPatch.context() as mp:
+            def discover_then_count(*args, **kwargs):
+                plan = real_discover(*args, **kwargs)
+                mp.setattr(scm_module, "zip", counted, raising=False)
+                return plan
+
+            mp.setattr(engine, "discover", discover_then_count)
+            wi.run_inference(program, 2 * engine.BLOCK + 3, seed=21)
+            assert calls[0] == 0
+            linear_threshold((1.0,), [True])  # the counter sees scm's zip
+            assert calls[0] == 1
+
+    def test_programs_share_the_model_walk_table(self):
+        scm, query = wi.generate_case(0, 0, 12)
+        assert {nid: pairs for nid, (_, pairs) in scm._walks.items()} == {
+            n.id: tuple(zip(n.parents, n.theta)) for n in scm.nodes if n.kind == "dependent"
+        }
+        for style in ("eager", "lazy"):
+            nodes = wi.build_program(scm, query, style).keywords["nodes"]
+            for n in scm.nodes:
+                walk = nodes[n.id][0]
+                if n.kind == "prior":
+                    assert walk is None
+                else:
+                    assert walk is scm._walks[n.id] and walk[0] is n.parents
+        # the table is derived state: not compared, not part of the model's JSON
+        assert scm_from_json(scm_to_json(scm)) == scm
+        assert "_walks" not in repr(scm)
 
     def test_unknown_query_nodes_rejected(self):
         scm, query = self.scm_and_query()
