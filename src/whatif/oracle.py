@@ -6,26 +6,34 @@ m nodes the joint has 2^m worlds, world w giving node i the bit
 (w >> i) & 1.  Endogenous values follow deterministically, so
 posteriors and counterfactuals reduce to sums of world probabilities.
 
-The walk covers the worlds in chunks of 2^16 consecutive indices.  Once
-per query: the low nodes 0..15 take the same bits in every chunk, so
-their probability product (in node order), their values in the forced
-and the factual pass, and their part of the evidence mask are built
-once.  Node i's column repeats every 2^(i+1) worlds and is computed on
-that many.  Per chunk: each high node has one bit, fixed depth first in
-node order, so a chunk multiplies the low product by the high nodes'
-factors in node order, and one threshold sum of a high node serves both
-of its bits.  Only ancestors of the evidence and the target get values,
-and the factual pass redoes only the intervened nodes and their
-descendants.  Each world thus gets the node-order product and the
-linear_threshold sums that a world-by-world evaluation gives.
+The walk covers the worlds in chunks of 2^16 consecutive indices.  The
+low nodes 0..15 take the same bits in every chunk, so they are walked
+once per query, breadth first: node i's bit doubles the low worlds
+walked so far, bit 0's copy first, and each world carries its
+probability product (in node order) and its values in the forced and
+the factual pass.  After each low evidence node only the worlds that
+meet the evidence and have mass go on; when none does, no chunk is
+walked and the evidence is impossible.  Per chunk: each high node has
+one bit, fixed depth first in node order over the low worlds kept, so a
+chunk multiplies their products by the high nodes' factors in node
+order, a mask tests the high evidence, and one threshold sum of a high
+node serves both of its bits.  Only ancestors of the evidence and the
+target get values, and the factual pass redoes only the intervened
+nodes and their descendants.  Each world thus gets the node-order
+product and the linear_threshold sums that a world-by-world evaluation
+gives.
 
 Masses are summed with math.fsum per chunk, then over the chunks.  Each
-fsum rounds once, so the chunk width is part of every answer's bits;
-the order of the chunks is not.
+fsum rounds once, so the chunk width is part of every answer's bits.
+The order of the terms is not, since fsum is correctly rounded, and a
+world the walk drops would only have added zeros to its chunk's sums:
+it fails the evidence or has no mass.  So dropping worlds early changes
+no bit of any answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -47,35 +55,38 @@ def _ancestors(scm: ScmSpec, ids) -> set[str]:
     return keep
 
 
-def _head(v, n: int):
-    return v[:n] if isinstance(v, np.ndarray) else v
-
-
-def _rule(node, known: dict, forced: dict[str, bool], n: int):
-    """The node's value as a function of its exogenous bit, over the first
-    n worlds of a chunk, given its parents' values in known."""
+def _rule(node, vals, at: dict[str, int], forced: dict[str, bool]):
+    """The node's value as a function of its exogenous bit, given its
+    parents' value columns vals[at[parent]]."""
     if node.id in forced:
         value = forced[node.id]
         return lambda bit: value
     if node.kind == PRIOR:
         return lambda bit: bit
-    f = linear_threshold(node.theta, [_head(known[p], n) for p in node.parents])
+    f = linear_threshold(node.theta, [vals[at[p]] for p in node.parents])
     return lambda bit: f ^ bit
+
+
+def _side_by_side(vals, slots: int):
+    """Two copies of vals along the worlds, with room for `slots` slots."""
+    n = vals.shape[1]
+    out = np.empty((slots, 2 * n), dtype=bool)
+    out[:len(vals), :n] = out[:len(vals), n:] = vals
+    return out
 
 
 def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bool],
             target: str, condition_on_intervened: bool):
-    """Yield (probabilities, target values, evidence mask) per chunk.
+    """Yield per chunk the probabilities of its worlds that meet the
+    evidence, and of those where the target is true.
 
     Only the ancestors of the evidence and the target get values, with
-    the interventions forced; the target's is a bool column (a bool where
-    constant over the chunk).  The mask tests the evidence in the original
+    the interventions forced.  The evidence is tested in the original
     world unless condition_on_intervened, which tests it in the mutilated
     one (post-surgery conditioning).
     """
     m = len(scm.nodes)
     low = min(m, _CHUNK.bit_length() - 1)
-    width = 1 << low
     ons = [node.p if node.kind == PRIOR else node.q for node in scm.nodes]
     needed = _ancestors(scm, [*evidence, target])
     redo: set[str] = set()
@@ -83,42 +94,73 @@ def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bo
         # only the forced nodes and their descendants differ in the factual pass
         moved = descendant_closure({n.id: n.parents for n in scm.nodes}, interventions)
         redo = (moved | interventions.keys()) & _ancestors(scm, evidence)
+    # vals[k] is one value column over the worlds kept, k a slot in node
+    # order: one per needed node's forced value, and one more where the
+    # factual pass redoes the node; otherwise its factual value is the forced
+    slot = itertools.count()
+    forced_at: dict[str, int] = {}
+    factual_at: dict[str, int] = {}
+    for node in scm.nodes:
+        if node.id in needed:
+            forced_at[node.id] = factual_at[node.id] = next(slot)
+            if node.id in redo:
+                factual_at[node.id] = next(slot)
 
-    def widen(v):
-        short = isinstance(v, np.ndarray) and len(v) < width
-        return np.tile(v, width // len(v)) if short else v
+    # vals is passed to each helper, never closed over: walk's closure refers
+    # to walk itself, and a cycle through it would keep vals alive until gc
+    def setter(node, vals):
+        # write(into, bit, part): the node's forced and factual values for the
+        # bit, from vals, into the given worlds of its slots in into
+        forced = _rule(node, vals, forced_at, interventions)
+        factual = _rule(node, vals, factual_at, {}) if node.id in redo else None
 
-    def step(state, i, bits):
-        # the (forced values, factual values, mask) after node i takes each bit
-        values, base, mask = state
-        node = scm.nodes[i]
-        if node.id not in needed:
-            return [state] * len(bits)
-        n = min(2 << i, width)  # a low node's column repeats every 2^(i+1) worlds
-        forced = _rule(node, values, interventions, n)
-        factual = _rule(node, base, {}, n) if node.id in redo else forced
-        out = []
-        for bit in bits:
-            v = widen(forced(bit))
-            b = v if factual is forced else widen(factual(bit))
-            held = mask & (b == evidence[node.id]) if node.id in evidence else mask
-            out.append(({**values, node.id: v}, {**base, node.id: b}, held))
-        return out
+        def write(into, bit, part=slice(None)):
+            into[forced_at[node.id]][part] = forced(bit)
+            if factual:
+                into[factual_at[node.id]][part] = factual(bit)
 
-    def walk(i, probs, state):
-        # fix high node i's bit both ways, depth first
+        return write
+
+    def meets(node, vals):
+        return vals[factual_at[node.id]] == evidence[node.id]
+
+    vals = np.empty((0, 1), dtype=bool)  # the slots of the nodes walked so far
+    probs = np.ones(1)
+    for i, node in enumerate(scm.nodes[:low]):
+        # node i's bit doubles the low worlds: bit 0's first, then bit 1's
+        n = len(probs)
+        probs = np.concatenate((probs * (1.0 - ons[i]), probs * ons[i]))
+        write = setter(node, vals) if node.id in needed else None
+        vals = _side_by_side(vals, factual_at[node.id] + 1 if write else len(vals))
+        if write:
+            write(vals, False, slice(None, n))
+            write(vals, True, slice(n, None))
+        if node.id in evidence:
+            # only the worlds that meet the evidence and have mass go on
+            keep = np.flatnonzero(meets(node, vals) & (probs > 0.0))
+            if len(keep) == 0:
+                return  # the caller raises before any high node runs
+            probs, vals = probs[keep], vals[:, keep]
+
+    def walk(i, vals, probs, mask):
+        # fix high node i's bit both ways, depth first; a deeper node writes
+        # only its own slots, so the slots of nodes < i stay put
         if i == m:
-            yield probs, state[0][target], state[2]
+            yield probs[mask], probs[mask & vals[forced_at[target]]]
             return
-        for b, after in zip((False, True), step(state, i, (False, True))):
-            yield from walk(i + 1, probs * (ons[i] if b else 1.0 - ons[i]), after)
+        node = scm.nodes[i]
+        write = setter(node, vals) if node.id in needed else None
+        for bit in (False, True):
+            held = mask
+            if write:
+                write(vals, bit)
+                if node.id in evidence:
+                    held = mask & meets(node, vals)
+            yield from walk(i + 1, vals, probs * (ons[i] if bit else 1.0 - ons[i]), held)
 
-    prefix = np.ones(1)
-    state = ({}, {}, np.ones(width, dtype=bool))
-    for i in range(low):
-        prefix = np.concatenate((prefix * (1.0 - ons[i]), prefix * ons[i]))
-        (state,) = step(state, i, [np.repeat((False, True), 1 << i)])
-    yield from walk(low, prefix, state)
+    # the high nodes' slots, overwritten in place as the walk fixes their bits
+    vals = [*vals, *np.empty((next(slot) - len(vals), len(probs)), dtype=bool)]
+    yield from walk(low, vals, probs, np.ones(len(probs), dtype=bool))
 
 
 def check_bound(scm: ScmSpec) -> None:
@@ -139,11 +181,9 @@ def _accumulate(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str
         scm.node(nid)
     check_bound(scm)
     totals, hits = [], []
-    for probs, hit, mask in _chunks(
-        scm, evidence, interventions, target, condition_on_intervened
-    ):
-        totals.append(math.fsum(probs[mask].tolist()))
-        hits.append(math.fsum(probs[mask & hit].tolist()))
+    for admitted, hit in _chunks(scm, evidence, interventions, target, condition_on_intervened):
+        totals.append(math.fsum(admitted.tolist()))
+        hits.append(math.fsum(hit.tolist()))
     total = math.fsum(totals)
     if total <= 0.0:
         where = " under the intervened model" if condition_on_intervened else ""

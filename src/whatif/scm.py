@@ -18,7 +18,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 
 from .dists import Bernoulli, ObservableBernoulli
 from .engine import IV, descendant_closure
@@ -89,9 +89,6 @@ class ScmSpec:
 
     nodes: tuple[ScmNode, ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False)
-    # dependent node id -> (parents, its (parent, theta) pairs), the walk
-    # every program of the model shares
-    _walks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -121,8 +118,14 @@ class ScmSpec:
                 raise ValueError(f"{ctx}: theta must sum to 1, got {sum(node.theta)!r}")
             seen.add(node.id)
         object.__setattr__(self, "_index", {n.id: n for n in self.nodes})
-        object.__setattr__(self, "_walks", {n.id: (n.parents, tuple(zip(n.parents, n.theta)))
-                                            for n in self.nodes if n.kind == DEPENDENT})
+
+    @cached_property
+    def _walks(self) -> dict:
+        """Dependent node id -> (parents, its (parent, theta) pairs): the walk
+        every program of the model shares, built by the first build_program,
+        so a model only the oracle reads never builds it."""
+        return {n.id: (n.parents, tuple(zip(n.parents, n.theta)))
+                for n in self.nodes if n.kind == DEPENDENT}
 
     def node(self, node_id: str) -> ScmNode:
         try:

@@ -1,6 +1,9 @@
+import gc
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import whatif as wi
@@ -272,10 +275,39 @@ def reference_cases():
     return cases
 
 
+def cut_model():
+    """Seven nodes: under 8-world chunks a, b, c are low and d..g high.
+    c is surely 1 and f = a and e exactly, so evidence can be impossible in
+    either phase."""
+    return ScmSpec(
+        (
+            ScmNode("a", "prior", p=0.3),
+            ScmNode("b", "dependent", parents=("a",), theta=(1.0,), q=0.2),
+            ScmNode("c", "prior", p=1.0),
+            ScmNode("d", "dependent", parents=("b", "c"), theta=(0.6, 0.4), q=0.1),
+            ScmNode("e", "prior", p=0.6),
+            ScmNode("f", "dependent", parents=("a", "e"), theta=(0.5, 0.5), q=0.0),
+            ScmNode("g", "dependent", parents=("d", "f", "c"), theta=(0.2, 0.3, 0.5), q=0.35),
+        )
+    )
+
+
+def cut_cases():
+    """Queries on cut_model for each way the low evidence can cut a chunk."""
+    scm = cut_model()
+    return [
+        pytest.param((scm, {"b": True, "c": True}, {"a": False}, "g"), id="low-evidence"),
+        pytest.param((scm, {"g": False, "e": True}, {"b": True}, "d"), id="high-evidence"),
+        pytest.param((scm, {}, {"d": True}, "g"), id="no-evidence"),
+        pytest.param((scm, {"c": False, "g": True}, {"e": True}, "g"), id="impossible-low"),
+        pytest.param((scm, {"f": True, "e": False}, {"b": False}, "g"), id="impossible-high"),
+    ]
+
+
 class TestBitwiseReference:
     """The chunked walk against a world-by-world evaluation, bit for bit."""
 
-    @pytest.mark.parametrize("case", reference_cases())
+    @pytest.mark.parametrize("case", reference_cases() + cut_cases())
     def test_queries_match_world_by_world_reference(self, monkeypatch, case):
         # 8-world chunks, so these models span up to 128 chunks
         monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
@@ -311,9 +343,87 @@ def test_golden_counterfactuals():
         (17, 0): "0x1.15f10190b7254p-1",
         (20, 1): "0x1.ce889250220dbp-1",
         (22, 2): "0x1.fe54b1ec0cc15p-2",
+        (25, 0): "0x1.06ebb3a4ee110p-1",
+        (25, 1): "0x1.0849a851ceb6fp-1",
     }
     for (n_blocks, i), expected in golden.items():
         scm, q = wi.generate_case(6, i, n_blocks)
         d, dv = q.intervention
         got = wi.exact_counterfactual(scm, q.evidence, {d: dv}, q.target)
         assert got.hex() == expected
+
+
+def test_a_query_frees_its_columns_without_gc():
+    # a reference cycle holding a query's value columns would keep them
+    # alive until the cyclic collector runs, query after query
+    scm, q = wi.generate_case(6, 1, 20)
+    d, dv = q.intervention
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wi.exact_counterfactual(scm, q.evidence, {d: dv}, q.target)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert kept < 1 << 16
+
+
+class TestLowEvidenceCut:
+    """The high phase runs only on the worlds the low evidence admits."""
+
+    def threshold_rows(self, monkeypatch, scm):
+        # high node id -> the row counts of its threshold's column arguments
+        thetas = {id(node.theta): node.id for node in scm.nodes[3:] if node.kind == "dependent"}
+        rows: dict[str, set[int]] = {}
+        real = oracle.linear_threshold
+
+        def counting(theta, parent_values):
+            if id(theta) in thetas:
+                rows.setdefault(thetas[id(theta)], set()).update(
+                    v.size for v in parent_values if isinstance(v, np.ndarray)
+                )
+            return real(theta, parent_values)
+
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
+        monkeypatch.setattr(oracle, "linear_threshold", counting)
+        return rows
+
+    def test_high_thresholds_see_only_admitted_rows(self, monkeypatch):
+        scm = cut_model()
+        rows = self.threshold_rows(monkeypatch, scm)
+        evidence = {"b": True, "c": True, "g": True}
+        low = {"b", "c"}
+        # the low worlds the evidence admits that have mass; no high node
+        # has on == 1, so a high bit of 0 zeroes no world's probability
+        admitted = sum(
+            world_prob(scm, w) > 0.0
+            and all(world_values(scm, w, {})[nid] == evidence[nid] for nid in low)
+            for w in range(1 << 3)
+        )
+        assert 0 < admitted < 1 << 3
+        wi.exact_counterfactual(scm, evidence, {"a": False}, "g")
+        assert rows == {"d": {admitted}, "f": {admitted}, "g": {admitted}}
+
+    @pytest.mark.parametrize(
+        "condition_on_intervened, evidence, interventions",
+        [
+            pytest.param(False, {"c": False}, {"e": True}, id="cf-no-mass"),
+            pytest.param(True, {"c": False}, {"e": True}, id="iv-no-mass"),
+            pytest.param(True, {"b": True}, {"b": False}, id="iv-forced"),
+        ],
+    )
+    def test_impossible_low_evidence_stops_before_the_high_phase(
+        self, monkeypatch, condition_on_intervened, evidence, interventions
+    ):
+        scm = cut_model()
+        rows = self.threshold_rows(monkeypatch, scm)
+        query = wi.exact_interventional if condition_on_intervened else wi.exact_counterfactual
+        where = " under the intervened model" if condition_on_intervened else ""
+        message = f"impossible evidence: {evidence!r} has probability zero{where}"
+        with pytest.raises(wi.ImpossibleEvidenceError) as raised:
+            query(scm, evidence, interventions, "g")
+        assert str(raised.value) == message
+        assert rows == {}

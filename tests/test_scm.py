@@ -394,6 +394,13 @@ class TestPrograms:
         assert scm_from_json(scm_to_json(scm)) == scm
         assert "_walks" not in repr(scm)
 
+    def test_only_programs_build_the_walk_table(self):
+        scm, query = wi.generate_case(0, 0, 12)
+        wi.exact_observational(scm, query.evidence, query.target)
+        assert "_walks" not in vars(scm)
+        wi.build_program(scm, query)
+        assert "_walks" in vars(scm)
+
     def test_unknown_query_nodes_rejected(self):
         scm, query = self.scm_and_query()
         query.target = "nope"
