@@ -1,15 +1,19 @@
 """Exact inference over benchmark models by exogenous enumeration.
 
 Every model in the benchmark class has one exogenous bit per node: the
-value itself for prior nodes, the flip noise for dependent nodes.  With
-m nodes the joint has 2^m worlds, world w giving node i the bit
-(w >> i) & 1.  Endogenous values follow deterministically, so
-posteriors and counterfactuals reduce to sums of world probabilities.
+value itself for prior nodes, the flip noise for dependent nodes.
+Endogenous values follow deterministically, so posteriors and
+counterfactuals reduce to sums of world probabilities.  A node that
+neither the evidence nor the target depends on cannot change them, so a
+query walks only the bits of those nodes and their ancestors, in model
+order, and drops interventions elsewhere: with r of them, 2^r worlds,
+world w giving relevant node i the bit (w >> i) & 1.  The size bound
+still counts every node.
 
 The walk covers the worlds in chunks of 2^16 consecutive indices.  The
-low nodes 0..15 take the same bits in every chunk, so they are walked
-once per query, breadth first: node i's bit doubles the low worlds
-walked so far, bit 0's copy first, and each world carries its
+low relevant nodes 0..15 take the same bits in every chunk, so they are
+walked once per query, breadth first: node i's bit doubles the low
+worlds walked so far, bit 0's copy first, and each world carries its
 probability product (in node order) and its values in the forced and
 the factual pass.  After each low evidence node only the worlds that
 meet the evidence and have mass go on; when none does, no chunk is
@@ -17,18 +21,18 @@ walked and the evidence is impossible.  Per chunk: each high node has
 one bit, fixed depth first in node order over the low worlds kept, so a
 chunk multiplies their products by the high nodes' factors in node
 order, a mask tests the high evidence, and one threshold sum of a high
-node serves both of its bits.  Only ancestors of the evidence and the
-target get values, and the factual pass redoes only the intervened
-nodes and their descendants.  Each world thus gets the node-order
-product and the linear_threshold sums that a world-by-world evaluation
-gives.
+node serves both of its bits.  The factual pass redoes only the
+intervened nodes and their descendants.  Each world thus gets the
+node-order product and the linear_threshold sums that a world-by-world
+evaluation of the relevant sub-model gives.
 
 Masses are summed with math.fsum per chunk, then over the chunks.  Each
 fsum rounds once, so the chunk width is part of every answer's bits.
 The order of the terms is not, since fsum is correctly rounded, and a
 world the walk drops would only have added zeros to its chunk's sums:
 it fails the evidence or has no mass.  So dropping worlds early changes
-no bit of any answer.
+no bit of the relevant sub-model's answer.  Enumerating every node's
+bit instead rounds longer products, and its answers differ by a few ulp.
 """
 
 from __future__ import annotations
@@ -80,31 +84,31 @@ def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bo
     """Yield per chunk the probabilities of its worlds that meet the
     evidence, and of those where the target is true.
 
-    Only the ancestors of the evidence and the target get values, with
-    the interventions forced.  The evidence is tested in the original
-    world unless condition_on_intervened, which tests it in the mutilated
-    one (post-surgery conditioning).
+    Only the ancestors of the evidence and the target are walked, with the
+    interventions among them forced.  The evidence is tested in the
+    original world unless condition_on_intervened, which tests it in the
+    mutilated one (post-surgery conditioning).
     """
-    m = len(scm.nodes)
-    low = min(m, _CHUNK.bit_length() - 1)
-    ons = [node.p if node.kind == PRIOR else node.q for node in scm.nodes]
-    needed = _ancestors(scm, [*evidence, target])
+    relevant = _ancestors(scm, [*evidence, target])
+    nodes = [node for node in scm.nodes if node.id in relevant]
+    interventions = {nid: v for nid, v in interventions.items() if nid in relevant}
+    low = min(len(nodes), _CHUNK.bit_length() - 1)
+    ons = [node.p if node.kind == PRIOR else node.q for node in nodes]
     redo: set[str] = set()
     if interventions and not condition_on_intervened:
         # only the forced nodes and their descendants differ in the factual pass
-        moved = descendant_closure({n.id: n.parents for n in scm.nodes}, interventions)
+        moved = descendant_closure({n.id: n.parents for n in nodes}, interventions)
         redo = (moved | interventions.keys()) & _ancestors(scm, evidence)
     # vals[k] is one value column over the worlds kept, k a slot in node
-    # order: one per needed node's forced value, and one more where the
-    # factual pass redoes the node; otherwise its factual value is the forced
+    # order: one per node's forced value, and one more where the factual
+    # pass redoes the node; otherwise its factual value is the forced one
     slot = itertools.count()
     forced_at: dict[str, int] = {}
     factual_at: dict[str, int] = {}
-    for node in scm.nodes:
-        if node.id in needed:
-            forced_at[node.id] = factual_at[node.id] = next(slot)
-            if node.id in redo:
-                factual_at[node.id] = next(slot)
+    for node in nodes:
+        forced_at[node.id] = factual_at[node.id] = next(slot)
+        if node.id in redo:
+            factual_at[node.id] = next(slot)
 
     # vals is passed to each helper, never closed over: walk's closure refers
     # to walk itself, and a cycle through it would keep vals alive until gc
@@ -126,15 +130,14 @@ def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bo
 
     vals = np.empty((0, 1), dtype=bool)  # the slots of the nodes walked so far
     probs = np.ones(1)
-    for i, node in enumerate(scm.nodes[:low]):
+    for i, node in enumerate(nodes[:low]):
         # node i's bit doubles the low worlds: bit 0's first, then bit 1's
         n = len(probs)
         probs = np.concatenate((probs * (1.0 - ons[i]), probs * ons[i]))
-        write = setter(node, vals) if node.id in needed else None
-        vals = _side_by_side(vals, factual_at[node.id] + 1 if write else len(vals))
-        if write:
-            write(vals, False, slice(None, n))
-            write(vals, True, slice(n, None))
+        write = setter(node, vals)
+        vals = _side_by_side(vals, factual_at[node.id] + 1)
+        write(vals, False, slice(None, n))
+        write(vals, True, slice(n, None))
         if node.id in evidence:
             # only the worlds that meet the evidence and have mass go on
             keep = np.flatnonzero(meets(node, vals) & (probs > 0.0))
@@ -145,17 +148,14 @@ def _chunks(scm: ScmSpec, evidence: dict[str, bool], interventions: dict[str, bo
     def walk(i, vals, probs, mask):
         # fix high node i's bit both ways, depth first; a deeper node writes
         # only its own slots, so the slots of nodes < i stay put
-        if i == m:
+        if i == len(nodes):
             yield probs[mask], probs[mask & vals[forced_at[target]]]
             return
-        node = scm.nodes[i]
-        write = setter(node, vals) if node.id in needed else None
+        node = nodes[i]
+        write = setter(node, vals)
         for bit in (False, True):
-            held = mask
-            if write:
-                write(vals, bit)
-                if node.id in evidence:
-                    held = mask & meets(node, vals)
+            write(vals, bit)
+            held = mask & meets(node, vals) if node.id in evidence else mask
             yield from walk(i + 1, vals, probs * (ons[i] if bit else 1.0 - ons[i]), held)
 
     # the high nodes' slots, overwritten in place as the walk fixes their bits

@@ -506,7 +506,7 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert sha256(out.read_bytes()) == (
-            "79f18efa0e202620d5914dbbf70e6d4196c991c97d6fe8d632466ff9e0494e2c"
+            "521c2584c92deb539ec57ff59db3bbfd5613cbb138577a659f1a62b0bb68fff6"
         )
         assert sha256(stdout.encode()) == (
             "35dc1bf9dfb8a3bf2d482eb30649992d86c79444f4a3237bacbe8aa33361a4c1"

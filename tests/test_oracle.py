@@ -43,8 +43,8 @@ class TestPosterior:
         gen = random.Random(31)
         scm = wi.generate_scm(gen, n_blocks=9)
         for node in scm.nodes:
-            total, hit = reference(scm, {}, {}, node.id, 1 << 3, False)
-            assert wi.exact_observational(scm, {}, node.id) == hit / total
+            assert_reference(lambda: wi.exact_observational(scm, {}, node.id),
+                             scm, {}, {}, node.id, False)
 
     def test_impossible_evidence_raises(self):
         scm = ScmSpec(
@@ -157,8 +157,8 @@ class TestExactQueries:
                 q=0.3,
             )
             scm = ScmSpec(priors + (wide,))
-            total, hit = reference(scm, {}, {}, "wide", 1 << 3, False)
-            assert wi.exact_observational(scm, {}, "wide") == hit / total
+            assert_reference(lambda: wi.exact_observational(scm, {}, "wide"),
+                             scm, {}, {}, "wide", False)
 
 
 class TestEngineAgreement:
@@ -229,9 +229,10 @@ def world_prob(scm, w):
     return prob
 
 
-def reference(scm, evidence, interventions, target, chunk, condition_on_intervened):
-    """The oracle's answer one world at a time: (total, hit), each an fsum
-    per chunk of `chunk` consecutive worlds and then over the chunks."""
+def full_reference(scm, evidence, interventions, target, condition_on_intervened):
+    """(total, hit) one world at a time over every node's bit, each an fsum
+    per chunk of 8 consecutive worlds and then over the chunks."""
+    chunk = 1 << 3
     totals, hits = [], []
     n_worlds = 1 << len(scm.nodes)
     for lo in range(0, n_worlds, chunk):
@@ -246,6 +247,45 @@ def reference(scm, evidence, interventions, target, chunk, condition_on_interven
         totals.append(math.fsum(total))
         hits.append(math.fsum(hit))
     return math.fsum(totals), math.fsum(hits)
+
+
+def ancestor_model(scm, ids):
+    """The sub-model of the given nodes and every node they reach by
+    following parents, in model order."""
+    parents = {node.id: node.parents for node in scm.nodes}
+    keep, todo = set(), list(ids)
+    while todo:
+        nid = todo.pop()
+        if nid not in keep:
+            keep.add(nid)
+            todo.extend(parents[nid])
+    return ScmSpec(tuple(node for node in scm.nodes if node.id in keep))
+
+
+def reference(scm, evidence, interventions, target, condition_on_intervened):
+    """The oracle's answer one world at a time: full_reference over the
+    sub-model of the evidence, the target and their ancestors, with the
+    interventions on it."""
+    sub = ancestor_model(scm, [*evidence, target])
+    interventions = {nid: v for nid, v in interventions.items() if nid in sub}
+    return full_reference(sub, evidence, interventions, target, condition_on_intervened)
+
+
+def assert_reference(answer, scm, evidence, interventions, target, condition_on_intervened):
+    """answer() under 8-world chunks equals reference() bit for bit and lies
+    within 2 ulp of full_reference(); impossible evidence raises."""
+    args = (scm, evidence, interventions, target, condition_on_intervened)
+    total, hit = reference(*args)
+    full_total, full_hit = full_reference(*args)
+    if total <= 0.0:
+        assert full_total <= 0.0
+        with pytest.raises(wi.ImpossibleEvidenceError):
+            answer()
+    else:
+        got = answer()
+        assert got == hit / total
+        full = full_hit / full_total
+        assert abs(got - full) <= 2 * math.ulp(full)
 
 
 def reference_cases():
@@ -320,12 +360,7 @@ class TestBitwiseReference:
             (lambda: wi.exact_observational(scm, evidence, target), {}, False),
         ]
         for answer, iv, condition_on_intervened in queries:
-            total, hit = reference(scm, evidence, iv, target, 1 << 3, condition_on_intervened)
-            if total <= 0.0:
-                with pytest.raises(wi.ImpossibleEvidenceError):
-                    answer()
-            else:
-                assert answer() == hit / total
+            assert_reference(answer, scm, evidence, iv, target, condition_on_intervened)
 
     @pytest.mark.parametrize("case", reference_cases()[-4:])
     def test_posterior_worlds_match_reference(self, monkeypatch, case):
@@ -333,24 +368,27 @@ class TestBitwiseReference:
         monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
         scm, evidence = case[0], case[1]
         for node in scm.nodes:
-            total, hit = reference(scm, evidence, {}, node.id, 1 << 3, False)
-            assert wi.exact_observational(scm, evidence, node.id) == hit / total
+            assert_reference(lambda: wi.exact_observational(scm, evidence, node.id),
+                             scm, evidence, {}, node.id, False)
 
 
 def test_golden_counterfactuals():
-    # hex answers of the world-at-a-time oracle this walk replaced
+    # (answer, the full-model enumeration's answer) in hex: the world-at-a-time
+    # oracle this walk replaced summed every node's bit, and two answers
+    # moved by one ulp when the walk came to cover only the query's ancestors
     golden = {
-        (17, 0): "0x1.15f10190b7254p-1",
-        (20, 1): "0x1.ce889250220dbp-1",
-        (22, 2): "0x1.fe54b1ec0cc15p-2",
-        (25, 0): "0x1.06ebb3a4ee110p-1",
-        (25, 1): "0x1.0849a851ceb6fp-1",
+        (17, 0): ("0x1.15f10190b7255p-1", "0x1.15f10190b7254p-1"),
+        (20, 1): ("0x1.ce889250220dbp-1", "0x1.ce889250220dbp-1"),
+        (22, 2): ("0x1.fe54b1ec0cc15p-2", "0x1.fe54b1ec0cc15p-2"),
+        (25, 0): ("0x1.06ebb3a4ee110p-1", "0x1.06ebb3a4ee110p-1"),
+        (25, 1): ("0x1.0849a851ceb70p-1", "0x1.0849a851ceb6fp-1"),
     }
-    for (n_blocks, i), expected in golden.items():
+    for (n_blocks, i), (expected, full) in golden.items():
         scm, q = wi.generate_case(6, i, n_blocks)
         d, dv = q.intervention
         got = wi.exact_counterfactual(scm, q.evidence, {d: dv}, q.target)
         assert got.hex() == expected
+        assert abs(got - float.fromhex(full)) <= math.ulp(got)
 
 
 def test_a_query_frees_its_columns_without_gc():
@@ -427,3 +465,71 @@ class TestLowEvidenceCut:
             query(scm, evidence, interventions, "g")
         assert str(raised.value) == message
         assert rows == {}
+
+
+def padded(scm, low_at, high_at, ons):
+    """scm with four nodes that no evidence or target on scm reaches: a root
+    u0 and a child u1 of scm's first node at position low_at, a root u2 at
+    position high_at of scm, and at the end a child u3 of u2 and scm's last
+    node.  ons gives u0..u3 their p or q."""
+    p0, q1, p2, q3 = ons
+    nodes = list(scm.nodes)
+    nodes.insert(high_at, ScmNode("u2", "prior", p=p2))
+    nodes.append(ScmNode("u3", "dependent", parents=("u2", scm.nodes[-1].id),
+                         theta=(0.25, 0.75), q=q3))
+    nodes[low_at:low_at] = [
+        ScmNode("u0", "prior", p=p0),
+        ScmNode("u1", "dependent", parents=(scm.nodes[0].id, "u0"),
+                theta=(0.625, 0.375), q=q1),
+    ]
+    return ScmSpec(tuple(nodes))
+
+
+def answers(scm, evidence, interventions, target):
+    """The hex of each kind of exact answer."""
+    return [
+        wi.exact_counterfactual(scm, evidence, interventions, target).hex(),
+        wi.exact_interventional(scm, evidence, interventions, target).hex(),
+        wi.exact_observational(scm, evidence, target).hex(),
+    ]
+
+
+class TestRelevance:
+    """Nodes that neither the evidence nor the target depends on never enter
+    the walk, so their bits and their p and q move no answer."""
+
+    def test_irrelevant_nodes_move_no_bit(self):
+        # 18 relevant nodes, so under 2^16-world chunks two of them are high
+        scm, q = wi.generate_case(6, 0, 21)
+        base = ancestor_model(scm, [*q.evidence, q.target])
+        assert len(base.nodes) == 18
+        d, dv = q.intervention
+        expected = answers(base, q.evidence, {d: dv}, q.target)
+        for ons in [(0.5, 0.5, 0.5, 0.5), (0.0, 1.0, 1.0, 0.0), (0.9, 0.05, 0.3, 0.7)]:
+            # u2 lands between the two high relevant nodes
+            model = padded(base, 3, 17, ons)
+            assert answers(model, q.evidence, {d: dv}, q.target) == expected
+            assert answers(model, q.evidence, {d: dv, "u1": True}, q.target) == expected
+
+    def test_irrelevant_nodes_enter_no_threshold(self, monkeypatch):
+        # under 8-world chunks an irrelevant low node would push c into the
+        # high phase, and u2 would double every later high threshold sum
+        base = cut_model()
+        model = padded(base, 1, 4, (0.5, 0.5, 0.5, 0.5))
+        owner = {id(n.theta): n.id for n in model.nodes if n.kind == "dependent"}
+        assert len(owner) == 6
+        calls = []
+        real = oracle.linear_threshold
+
+        def counting(theta, parent_values):
+            calls.append((owner[id(theta)], tuple(np.size(v) for v in parent_values)))
+            return real(theta, parent_values)
+
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 3)
+        monkeypatch.setattr(oracle, "linear_threshold", counting)
+        logs = []
+        for scm in (base, model):
+            calls.clear()
+            answers(scm, {"b": True, "g": True}, {"a": False}, "d")
+            logs.append(list(calls))
+        assert logs[0] and logs[1] == logs[0]
