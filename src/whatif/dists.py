@@ -1,10 +1,18 @@
 """Distribution families for program random choices.
 
-Two kinds of family live here, next to the point mass Delta.  Plain
-families (Normal, Bernoulli, Uniform, Beta) sample and score scalar
-values; their randomness is implicit.  Observable families model an
-endogenous quantity as a deterministic function of its parents composed
-with an explicit noise variable, and share one protocol:
+Each family class declares two class attributes, all the engine reads
+to tell families apart.  Its kind is PLAIN, a value sampled and scored
+with implicit randomness (Normal, Bernoulli, Uniform, Beta), OBSERVABLE,
+a value computed from an explicit noise (ObservableNormal,
+ObservableBernoulli, ObservableNoisyOr), or POINT_MASS (Delta).  Its
+raws says how a draw reads its randomness: 0 from a stream, as many raws
+as it needs; 1 from one input, rng.to_uniform(raw1); 2 from two,
+rng.normal_parts(raw1, raw2).  A class defined elsewhere that declares
+both and has its kind's methods is a family like these.
+
+Observable families model an endogenous quantity as a deterministic
+function of its parents composed with an explicit noise variable, and
+share one protocol:
 
     sample_noise(stream)        draw the noise from its prior
     output(noise)               the value that noise produces
@@ -17,19 +25,18 @@ Because the noise is explicit, evidence is absorbed without rejection,
 and counterfactual replay can rerun output() under new parent values
 while holding the abducted noise fixed.
 
-The families in RAW_FAMILIES draw from at most rng.PRE_DRAWN raws, the
-ones a key block computes ahead, and their draw is one rule on inputs
+A family with raws 1 or 2 draws from at most rng.PRE_DRAWN raws, the
+ones a key block computes ahead, and its draw is one rule on inputs
 converted from those raws: draw_from(inputs, i) for a plain family,
-draw_noise_from(inputs, i) for an observable one, reading inputs[i] =
-rng.to_uniform(raw1), or inputs[i], inputs[i + 1] = rng.normal_parts(raw1,
-raw2) for a NORMAL_FAMILIES member.  A key block converts its raws to
-such inputs a column at a time (rng.block_inputs); draw(raw1, raw2),
-draw_noise(raw1, raw2), draw_and_score and sample / sample_noise convert
-them one at a time and go through the same rule, so every path gives
-the same bits.  A family that needs one raw ignores raw2.  Their
-observable members absorb by inverting output(), drawing nothing, and
-take stream None.  Beta's rejection loop and ObservableNoisyOr's
-per-parent noises draw an unbounded or larger count and keep the stream.
+draw_noise_from(inputs, i) for an observable one, reading inputs[i], or
+inputs[i] and inputs[i + 1] with raws 2.  A key block converts its raws
+to such inputs a column at a time (rng.block_inputs); sample and
+sample_noise convert a stream's next raws (stream.uniform() or
+normal_parts) and call the same rule, so both paths give the same bits.
+Such an observable absorbs by inverting output(), drawing nothing, and
+takes stream None.  Beta's rejection loop and ObservableNoisyOr's
+per-parent noises draw an unbounded or larger count: they declare raws
+0 and keep the stream.
 
 Every spec is a slotted value object: equal, repr'd, copied and pickled
 by its declared fields, not hashable, and never written to by the
@@ -52,7 +59,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .rng import RandomStream, normal_parts, to_uniform
+from .rng import RandomStream, normal_parts
+
+# A family's kind, its class attribute `kind` (see the module doc).
+PLAIN, OBSERVABLE, POINT_MASS = "plain", "observable", "point mass"
 
 _NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -66,6 +76,8 @@ def _bernoulli_log_mass(p_true: float, value: bool) -> float:
 
 @dataclass(slots=True)
 class Normal:
+    kind, raws = PLAIN, 2
+
     mean: float
     std: float
 
@@ -80,15 +92,14 @@ class Normal:
     def draw_from(self, inputs, i: int) -> float:
         return self.mean + self.std * inputs[i] * inputs[i + 1]  # normal_parts' order
 
-    def draw(self, raw1: int, raw2: int) -> float:
-        return self.draw_from(normal_parts(raw1, raw2), 0)
-
     def sample(self, stream: RandomStream) -> float:
-        return self.draw(stream.next_raw(), stream.next_raw())
+        return self.draw_from(normal_parts(stream.next_raw(), stream.next_raw()), 0)
 
 
 @dataclass(slots=True)
 class Bernoulli:
+    kind, raws = PLAIN, 1
+
     p: float
     # log masses of True and False, fixed at construction (see the module doc)
     _log_true: float = field(init=False, repr=False, compare=False)
@@ -109,15 +120,14 @@ class Bernoulli:
     def draw_from(self, inputs, i: int) -> bool:
         return inputs[i] < self.p
 
-    def draw(self, raw1: int, _raw2: int = 0) -> bool:
-        return self.draw_from((to_uniform(raw1),), 0)
-
     def sample(self, stream: RandomStream) -> bool:
-        return self.draw(stream.next_raw())
+        return self.draw_from((stream.uniform(),), 0)
 
 
 @dataclass(slots=True)
 class Uniform:
+    kind, raws = PLAIN, 1
+
     lo: float
     hi: float
 
@@ -133,11 +143,8 @@ class Uniform:
     def draw_from(self, inputs, i: int) -> float:
         return self.lo + inputs[i] * (self.hi - self.lo)
 
-    def draw(self, raw1: int, _raw2: int = 0) -> float:
-        return self.draw_from((to_uniform(raw1),), 0)
-
     def sample(self, stream: RandomStream) -> float:
-        return self.draw(stream.next_raw())
+        return self.draw_from((stream.uniform(),), 0)
 
 
 def _gamma_sample(stream: RandomStream, shape: float) -> float:
@@ -161,6 +168,8 @@ def _gamma_sample(stream: RandomStream, shape: float) -> float:
 
 @dataclass(slots=True)
 class Beta:
+    kind, raws = PLAIN, 0
+
     a: float
     b: float
 
@@ -185,6 +194,8 @@ class Beta:
 class Delta:
     """Point mass; scoring compares values exactly (no tolerance)."""
 
+    kind, raws = POINT_MASS, 0
+
     value: object
 
     def log_density(self, x) -> float:
@@ -197,6 +208,8 @@ class Delta:
 @dataclass(slots=True)
 class ObservableNormal:
     """output = mean + noise, noise ~ Normal(0, noise_std)."""
+
+    kind, raws = OBSERVABLE, 2
 
     mean: float
     noise_std: float
@@ -214,11 +227,8 @@ class ObservableNormal:
     def draw_noise_from(self, inputs, i: int) -> float:
         return 0.0 + self.noise_std * inputs[i] * inputs[i + 1]  # normal_parts' order
 
-    def draw_noise(self, raw1: int, raw2: int) -> float:
-        return self.draw_noise_from(normal_parts(raw1, raw2), 0)
-
     def sample_noise(self, stream: RandomStream) -> float:
-        return self.draw_noise(stream.next_raw(), stream.next_raw())
+        return self.draw_noise_from(normal_parts(stream.next_raw(), stream.next_raw()), 0)
 
     def output(self, noise: float) -> float:
         return self.mean + noise
@@ -235,6 +245,8 @@ class ObservableBernoulli:
     f_value is the already-computed deterministic function of the
     parents; the family only models the flip noise around it.
     """
+
+    kind, raws = OBSERVABLE, 1
 
     f_value: bool
     flip_prob: float
@@ -259,11 +271,8 @@ class ObservableBernoulli:
     def draw_noise_from(self, inputs, i: int) -> bool:
         return inputs[i] < self.flip_prob
 
-    def draw_noise(self, raw1: int, _raw2: int = 0) -> bool:
-        return self.draw_noise_from((to_uniform(raw1),), 0)
-
     def sample_noise(self, stream: RandomStream) -> bool:
-        return self.draw_noise(stream.next_raw())
+        return self.draw_noise_from((stream.uniform(),), 0)
 
     def output(self, noise: bool) -> bool:
         return bool(self.f_value) != bool(noise)
@@ -283,6 +292,8 @@ class ObservableNoisyOr:
 
         P(output = False | parents) = lambda0 * prod_{j active} lambdas[j]
     """
+
+    kind, raws = OBSERVABLE, 0
 
     lambda0: float
     lambdas: tuple[float, ...]
@@ -353,16 +364,6 @@ class ObservableNoisyOr:
         return observed, tuple(parts), log_q
 
 
-# Families with implicit randomness, and families with explicit noise.
-# Delta, a point mass, is neither.
-PLAIN_FAMILIES = (Normal, Bernoulli, Uniform, Beta)
-OBSERVABLE_FAMILIES = (ObservableNormal, ObservableBernoulli, ObservableNoisyOr)
-# Families that draw from their stream's first rng.PRE_DRAWN raws (see
-# above), and those of them whose inputs are rng.normal_parts.
-RAW_FAMILIES = (Normal, Bernoulli, Uniform, ObservableNormal, ObservableBernoulli)
-NORMAL_FAMILIES = (Normal, ObservableNormal)
-
-
 def sample_and_score(spec, stream: RandomStream, proposal=None):
     """Draw from proposal (default: the prior) and score both densities.
 
@@ -379,14 +380,8 @@ def sample_and_score(spec, stream: RandomStream, proposal=None):
     return value, spec.log_density(value), proposal.log_density(value)
 
 
-def draw_and_score(spec, raw1: int, raw2: int, proposal=None):
-    """sample_and_score for a plain RAW_FAMILIES spec whose stream starts raw1, raw2."""
-    inputs = normal_parts(raw1, raw2) if type(spec) in NORMAL_FAMILIES else (to_uniform(raw1),)
-    return score_inputs(spec, inputs, 0, proposal)
-
-
 def score_inputs(spec, inputs, i: int, proposal=None):
-    """draw_and_score for a plain RAW_FAMILIES spec whose converted inputs start at inputs[i]."""
+    """sample_and_score for a plain spec with raws > 0, drawn from converted inputs at inputs[i]."""
     if proposal is None:
         value = spec.draw_from(inputs, i)
         lp = spec.log_density(value)

@@ -30,11 +30,9 @@ handler of the current phase:
               output() under the abducted noise, and log-weights carry
               over unchanged.
 
-The engine tells families apart only as Delta, dists.PLAIN_FAMILIES
-(implicit randomness) and dists.OBSERVABLE_FAMILIES (explicit noise,
-with sample_noise / output / noise_log_prior / absorb), and by
-dists.RAW_FAMILIES, the ones it can draw from a key block's raws; a spec
-of any other class raises EngineError where it is first drawn.
+The engine tells families apart only by the kind and raws each family
+class declares (see dists); a spec whose class declares no kind raises
+EngineError where it is first drawn.
 
 So a counterfactual query costs 2N + 1 program executions, anything
 else N + 1.  Every random draw comes from a stream keyed by (seed,
@@ -46,18 +44,19 @@ run_inference keys its samples BLOCK at a time: one rng.key_block pass
 computes each sample's key and, for every stream abduction reads at an
 address the discovery pass saw, the stream's base and first raw draws.
 Raws become doubles once per block, where the block is keyed:
-rng.block_inputs converts every column that a choice of a
-dists.RAW_FAMILIES family draws from, numpy doing the exact integer and
-power-of-two steps and math.* the logs and cosines, since np.log rounds
-some differently.  Such a choice then reads its inputs from its sample's
-row by index, with no stream built, and an observable of such a family
-absorbs its evidence without one.  Beta and ObservableNoisyOr
-start a stream from the block's raws, one cell at a time, and so does a
-choice whose family differs from the one discovery saw at its address,
-since the block converted its raws for discovery's family.  Any other
-stream (a branch discovery never took, replay's @cf redraws), and the
-one execution that discover, abduction_sample and counterfactual_replay
-each run, take the scalar keyed_stream path, which gives the same bits.
+rng.block_inputs converts every column that a choice of a family with
+raws 1 or 2 draws from, numpy doing the exact integer and power-of-two
+steps and math.* the logs and cosines, since np.log rounds some
+differently.  Such a choice then reads its inputs from its sample's row
+by index, with no stream built, and an observable of such a family
+absorbs its evidence without one.  A family with raws 0 (Beta,
+ObservableNoisyOr) starts a stream from the block's raws, one cell at a
+time, and so does a choice whose family differs from the one discovery
+saw at its address, since the block converted its raws for discovery's
+family.  Any other stream (a branch discovery never took, replay's @cf
+redraws), and the one execution that discover, abduction_sample and
+counterfactual_replay each run, take the scalar keyed_stream path, which
+gives the same bits.
 
 What abduction does at an address (force it, absorb evidence, draw from
 the block's inputs at slot i, or draw from a stream) depends only on the
@@ -91,10 +90,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dists import (
-    NORMAL_FAMILIES,
-    OBSERVABLE_FAMILIES,
-    PLAIN_FAMILIES,
-    RAW_FAMILIES,
+    OBSERVABLE,
+    PLAIN,
+    POINT_MASS,
     Beta,
     Bernoulli,
     Delta,
@@ -321,7 +319,7 @@ class ExecutionContext:
             self._auto += 1
         else:
             addr = name
-        if proposal is not None and type(spec) not in PLAIN_FAMILIES:
+        if proposal is not None and getattr(spec, "kind", None) != PLAIN:
             raise EngineError(f"{type(spec).__name__} at {addr!r} takes no proposal")
         phase = self.phase
         if phase == ABDUCTION:
@@ -388,29 +386,29 @@ class ExecutionContext:
         own, which no block holds, independent of the abducted draws at
         the same address.
         """
-        fam = type(spec)
-        if fam is Delta:
+        kind = getattr(spec, "kind", None)
+        if kind == POINT_MASS:
             return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
-        if fam in PLAIN_FAMILIES:
+        if kind == PLAIN:
             value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
             term = lp if lp == _NEG_INF else lp - lq  # a latent's entry_contribution
             return self._record(addr, value, lp, lq, LATENT, parents, None, term)
-        if fam not in OBSERVABLE_FAMILIES:
+        if kind != OBSERVABLE:
             raise EngineError(
-                f"{fam.__name__} at {addr!r} is not a family the engine knows: a spec "
-                "must be Delta or in dists.PLAIN_FAMILIES or dists.OBSERVABLE_FAMILIES"
+                f"{type(spec).__name__} at {addr!r} is not a family: its class must "
+                "declare kind dists.PLAIN, dists.OBSERVABLE or dists.POINT_MASS"
             )
         noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
     def _draw(self, addr, spec, parents, proposal, i) -> Choice:
-        """A plain RAW_FAMILIES choice drawn from the sample's block inputs at slot i."""
+        """A plain choice with raws > 0 drawn from the sample's block inputs at slot i."""
         value, lp, lq = score_inputs(spec, self._inputs, i, proposal)
         term = lp if lp == _NEG_INF else lp - lq
         return self._record(addr, value, lp, lq, LATENT, parents, None, term)
 
     def _draw_noise(self, addr, spec, parents, proposal, i) -> Choice:
-        """An observable RAW_FAMILIES choice whose noise is drawn from block inputs at slot i."""
+        """An observable choice with raws > 0, its noise drawn from block inputs at slot i."""
         noise = spec.draw_noise_from(self._inputs, i)
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
@@ -441,19 +439,19 @@ class ExecutionContext:
         Observable families pin their noise to the observation and score
         it by the prior-to-proposal ratio of the forced noise assignment;
         the one observed entry carries both the ratio and the noise.  Only
-        a family outside RAW_FAMILIES draws while absorbing, so only it
-        gets a stream.
+        a family with raws 0 draws while absorbing, so only it gets a
+        stream.
         """
-        fam = type(spec)
-        if fam is Delta:
+        kind = getattr(spec, "kind", None)
+        if kind == POINT_MASS:
             loglik = spec.log_density(observed)
             return self._record(addr, spec.value, loglik, 0.0, OBSERVED, parents, None, loglik)
-        if fam not in OBSERVABLE_FAMILIES:
+        if kind != OBSERVABLE:
             raise UnobservableProcedureError(
                 f"unobservable procedure: cannot absorb evidence at {addr!r} "
-                f"({fam.__name__} has implicit randomness)"
+                f"({type(spec).__name__} has implicit randomness)"
             )
-        stream = None if fam in RAW_FAMILIES else self._stream(addr + NOISE_SUFFIX)
+        stream = None if spec.raws else self._stream(addr + NOISE_SUFFIX)
         value, noise, log_q = spec.absorb(observed, stream)
         loglik = spec.noise_log_prior(noise) - log_q
         return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise, loglik)
@@ -478,10 +476,10 @@ class ExecutionContext:
                     "trace with no intervention to explain it"
                 )
             return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
-        if type(spec) in OBSERVABLE_FAMILIES:
+        if getattr(spec, "kind", None) == OBSERVABLE:
             noise = prev.noise
             return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
-        # A Delta is recomputed.  An implicit-noise procedure has no shared
+        # A point mass is recomputed.  An implicit-noise procedure has no shared
         # noise to carry into the new world; it is redrawn from its prior.
         return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
 
@@ -493,7 +491,7 @@ class ExecutionContext:
         plan = self.plan
         if self.phase == DISCOVERY:
             fam = plan.families.get(addr)
-            if fam is not Delta and fam not in OBSERVABLE_FAMILIES:
+            if getattr(fam, "kind", None) not in (OBSERVABLE, POINT_MASS):
                 raise UnobservableProcedureError(
                     f"unobservable procedure: cannot observe "
                     f"{getattr(fam, '__name__', fam)} at {addr!r}; "
@@ -619,17 +617,18 @@ def _abduction_action(plan: QueryPlan, slots: dict[str, int], addr: Address,
     ExecutionContext._abduct asks it, with no slots, where that table has
     none.  act(ctx, addr, spec, parents, proposal, arg) makes the entry: a
     do that forces addr records the do's value; evidence at addr is
-    absorbed; a RAW_FAMILIES choice whose stream has a slot in the block's
-    inputs is drawn from them at slot arg; anything else is drawn forward
-    from a stream.
+    absorbed; a choice whose family declares raws > 0 and whose stream has
+    a slot in the block's inputs is drawn from them at slot arg; anything
+    else is drawn forward from a stream.
     """
     iv = plan.interventions.get(addr)
     if iv is not None and iv.kind == IV:  # abduction ignores a cf do
         return fam, ExecutionContext._intervened, iv.value
     if addr in plan.observed:
         return fam, ExecutionContext._absorb, plan.observed[addr]
-    if fam in RAW_FAMILIES:
-        plain = fam in PLAIN_FAMILIES
+    kind = getattr(fam, "kind", None)  # None: _forward names a class that is no family
+    if kind is not None and fam.raws:
+        plain = kind == PLAIN
         i = slots.get(addr if plain else addr + NOISE_SUFFIX)
         if i is not None:
             return fam, ExecutionContext._draw if plain else ExecutionContext._draw_noise, i
@@ -659,7 +658,7 @@ def _check_endogeneity(plan: QueryPlan) -> None:
     """
     for addr in plan.interventions:
         fam = plan.families.get(addr)
-        if fam in PLAIN_FAMILIES and plan.parents.get(addr):
+        if getattr(fam, "kind", None) == PLAIN and plan.parents.get(addr):
             raise EngineError(
                 f"cannot intervene on {addr!r}: {fam.__name__} with parents has "
                 "implicit randomness; give it an explicit noise split"
@@ -667,7 +666,7 @@ def _check_endogeneity(plan: QueryPlan) -> None:
     cf_roots = [a for a, iv in plan.interventions.items() if iv.kind == CF]
     for addr in sorted(descendant_closure(plan.parents, cf_roots)):
         fam = plan.families.get(addr)
-        if fam in PLAIN_FAMILIES:
+        if getattr(fam, "kind", None) == PLAIN:
             raise EngineError(
                 f"descendant {addr!r} of an intervened address is a "
                 f"{fam.__name__} with implicit randomness; give it an explicit "
@@ -726,13 +725,13 @@ def _block_layout(plan: QueryPlan) -> tuple[dict[str, int], dict[str, int], list
     uniform: list[str] = []
     normal: list[str] = []
     for addr, fam in plan.families.items():
-        if fam is Delta:
+        if fam.kind == POINT_MASS:
             continue
-        name = addr if fam in PLAIN_FAMILIES else addr + NOISE_SUFFIX
+        name = addr if fam.kind == PLAIN else addr + NOISE_SUFFIX
         _, act, _ = _abduction_action(plan, {name: 0}, addr, fam)
         if act in draws:
-            (normal if fam in NORMAL_FAMILIES else uniform).append(name)
-        elif fam in RAW_FAMILIES or act is ExecutionContext._intervened:
+            (normal if fam.raws == 2 else uniform).append(name)
+        elif fam.raws or act is ExecutionContext._intervened:
             continue
         columns[name] = len(columns)
     slots = {name: k for k, name in enumerate(uniform)}

@@ -25,8 +25,8 @@ outside the block, or a single execution, takes the scalar path through
 keyed_stream.
 
 Raws become doubles in two places, with the same bits.  A stream, and
-a single draw from raws (dists' draw and draw_noise), convert them one
-at a time through to_uniform, to_uniform_pos and normal_parts.  A key
+so dists' sample and sample_noise, converts them one at a time through
+to_uniform, to_uniform_pos and normal_parts.  A key
 block converts every draw's raws once, when it is keyed: block_inputs
 is the column twin of to_uniform and normal_parts.  numpy does its
 shifts and scalings, which are exact because raw >> 11 fits a double

@@ -1,9 +1,23 @@
 """Smoke test for the benchmark harness.
 
 `bench/run.py --selfcheck` drives every workload at tiny sizes through
-the public API (discover, abduction_sample, counterfactual_replay,
-run_inference, InferenceResult, TraceEntry, sample_and_score,
-rng_for_address), so it fails when any of those calls changes shape.
+the public API, so it fails when any call the harness makes changes
+shape.  The harness calls:
+
+- engine: discover, abduction_sample, counterfactual_replay,
+  run_inference, InferenceResult (built by keyword: predictions,
+  log_weights, n_samples, n_rejected, wall_seconds, degenerate), ess
+  and estimate_expectation;
+- families: the constructors Normal, Bernoulli, ObservableNormal and
+  ObservableBernoulli, and dists.sample_and_score;
+- traces: Trace(), Trace.record, Trace.entries, Trace.predictions,
+  Trace.log_weight and TraceEntry(address, value, log_prior,
+  log_proposal, role);
+- rng: rng_for_address, RandomStream.uniform and RandomStream.normal;
+- models: generate_scm, generate_query, derive_seed,
+  DegenerateGraphError, build_program, exact_counterfactual, and the
+  ScmSpec node fields id, kind, p and q.
+
 It writes no result file.
 """
 

@@ -17,10 +17,10 @@ from whatif.dists import (
     ObservableNormal,
     Uniform,
     _bernoulli_log_mass,
-    draw_and_score,
     sample_and_score,
+    score_inputs,
 )
-from whatif.rng import RandomStream, rng_for_address
+from whatif.rng import RandomStream, normal_parts, rng_for_address, to_uniform
 
 
 def stream(tag, idx=0):
@@ -130,10 +130,14 @@ _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @example(base=1, raw1=0, raw2=2**64 - 1, p=0.0, q=1.0, loc=0.0, scale=1.0)
 @example(base=1, raw1=2**64 - 1, raw2=0, p=1.0, q=0.0, loc=-5.0, scale=1e-3)
 def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
-    # a key block's choice is drawn from its stream's first raws directly;
-    # it must give what the stream started from those raws gives
+    # a key block's choice is drawn from the inputs its family's raws
+    # declare, converted from its stream's first raws; it must give what
+    # the stream started from those raws gives
     def started():
         return RandomStream(base, raw1, raw2)
+
+    def inputs(spec):
+        return {1: (to_uniform(raw1),), 2: normal_parts(raw1, raw2)}[spec.raws]
 
     plain = [
         (Normal(loc, scale), Normal(-loc, 2.0 * scale)),
@@ -141,13 +145,14 @@ def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
         (Uniform(loc, loc + scale), Uniform(loc - scale, loc + 0.5 * scale)),
     ]
     for spec, proposal in plain:
-        assert _bits(spec.draw(raw1, raw2)) == _bits(spec.sample(started()))
+        assert _bits(spec.draw_from(inputs(spec), 0)) == _bits(spec.sample(started()))
         for prop in (None, proposal):
-            drawn = draw_and_score(spec, raw1, raw2, prop)
+            drawn = score_inputs(spec, inputs(spec), 0, prop)
             sampled = sample_and_score(spec, started(), prop)
             assert list(map(_bits, drawn)) == list(map(_bits, sampled))
     for spec in (ObservableNormal(loc, scale), ObservableBernoulli(True, p)):
-        assert _bits(spec.draw_noise(raw1, raw2)) == _bits(spec.sample_noise(started()))
+        noise = spec.draw_noise_from(inputs(spec), 0)
+        assert _bits(noise) == _bits(spec.sample_noise(started()))
 
 
 @given(st.floats(0.0, 1.0))
@@ -190,9 +195,9 @@ def test_cached_masses_are_not_declared_fields():
     assert Bernoulli(0.0).log_density(False).hex() != Bernoulli(-0.0).log_density(False).hex()
 
 
-def test_draw_and_score_refuses_a_mismatched_proposal():
+def test_score_inputs_refuses_a_mismatched_proposal():
     with pytest.raises(ValueError, match="proposal family"):
-        draw_and_score(Normal(0, 1), 1, 2, proposal=Uniform(0, 1))
+        score_inputs(Normal(0, 1), normal_parts(1, 2), 0, proposal=Uniform(0, 1))
 
 
 class TestObservableNormal:

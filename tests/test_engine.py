@@ -1,13 +1,15 @@
 import copy
 import gc
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 import whatif as wi
 from whatif import engine
-from whatif.dists import Bernoulli, Normal, Uniform
+from whatif.dists import OBSERVABLE, PLAIN, Bernoulli, Normal, Uniform
 from whatif.engine import (
     BLOCK,
     ExecutionContext,
@@ -115,6 +117,17 @@ class TestCounterfactuals:
     def test_gaussian_counterfactual_mean(self):
         res = wi.run_inference(gaussian_program, 20_000, seed=4)
         assert abs(wi.estimate_expectation(res) - (5 * 1.2342 / 6 - 2.5236)) < 0.02
+
+    def test_families_defined_outside_dists(self):
+        res = wi.run_inference(outside_families_program, 4000, seed=3)
+        x_mean = truncnorm.mean(-0.3, 1.7)
+        est = wi.estimate_expectation(res)
+        w = np.exp(res.log_weights - res.log_weights.max())
+        w /= w.sum()
+        z = np.array([p["z"] for p in res.predictions])
+        se = math.sqrt(float(w**2 @ (z - est) ** 2))
+        assert 0 < res.n_rejected < 4000  # y's uniform noise cannot reach every x
+        assert abs(est - (1.5 + 0.7 - x_mean + 1.0)) < 5 * se
 
     def test_iv_and_cf_agree_without_evidence(self):
         # with no evidence the abducted world is the prior, so forcing in
@@ -562,15 +575,15 @@ class TestStatements:
         plain_int = wi.run_inference(program, 3, **{param: 2})
         assert numpy_int.log_weights.tobytes() == plain_int.log_weights.tobytes()
 
-    @pytest.mark.parametrize("where", ["discovery", "abduction", "replay"])
+    @pytest.mark.parametrize("where", ["discovery", "abduction", "replay", "proposal"])
     def test_unknown_family_names_the_address_and_family(self, where):
         # was an AttributeError for the missing sample_noise
         class MyDist:
             pass
 
         def program(ctx):
-            if where == "discovery":
-                ctx.sample(MyDist(), name="x")
+            if where in ("discovery", "proposal"):
+                ctx.sample(MyDist(), name="x", proposal=MyDist() if where == "proposal" else None)
                 return
             # discovery and abduction draw x False; the do opens y's branch
             x = ctx.bernoulli(0.0, name="x")
@@ -579,8 +592,12 @@ class TestStatements:
                 ctx.sample(MyDist(), name="y", depends_on=[x])
             ctx.predict(x.value, label="x")
 
-        addr = "x" if where == "discovery" else "y"
-        with pytest.raises(EngineError, match=f"MyDist at '{addr}' is not a family"):
+        addr = "y" if where in ("abduction", "replay") else "x"
+        if where == "proposal":
+            what = "takes no proposal"
+        else:
+            what = "is not a family: its class must declare kind"
+        with pytest.raises(EngineError, match=f"MyDist at '{addr}' {what}"):
             wi.run_inference(program, 3, seed=0)
 
 
@@ -948,6 +965,59 @@ def latent_noise_program(ctx):
     ctx.predict(b.value, label="b")
 
 
+@dataclass(slots=True)
+class UniformNoise:
+    """output = mean + noise, noise ~ Uniform(-width, width): an observable
+    family defined outside dists, drawn from one block input."""
+
+    kind, raws = OBSERVABLE, 1
+
+    mean: float
+    width: float
+
+    def draw_noise_from(self, inputs, i):
+        return self.width * (2.0 * inputs[i] - 1.0)
+
+    def sample_noise(self, stream):
+        return self.draw_noise_from((stream.uniform(),), 0)
+
+    def output(self, noise):
+        return self.mean + noise
+
+    def noise_log_prior(self, noise):
+        return -math.log(2.0 * self.width) if abs(noise) <= self.width else -math.inf
+
+    def absorb(self, observed, stream=None):
+        return observed, observed - self.mean, 0.0
+
+
+@dataclass(slots=True)
+class Exponential:
+    """A plain family defined outside dists, drawn from a stream."""
+
+    kind, raws = PLAIN, 0
+
+    rate: float
+
+    def sample(self, stream):
+        return -math.log(stream.uniform_pos()) / self.rate
+
+    def log_density(self, x):
+        return math.log(self.rate) - self.rate * x if x >= 0.0 else -math.inf
+
+
+def outside_families_program(ctx):
+    # E[z] = 1.5 + 0.7 - E[x | y = 0.7] + E[u]: y's abducted noise is
+    # 0.7 - x, and x given y is N(0, 1) truncated to [-0.3, 1.7]
+    x = ctx.normal(0, 1, name="x")
+    u = ctx.sample(Exponential(1.0), name="u")
+    y = ctx.sample(UniformNoise(x.value, 1.0), name="y", depends_on=[x])
+    ctx.observe(y, 0.7)
+    ctx.do(x, 1.5, kind=wi.CF)
+    z = ctx.sample(UniformNoise(y.value + u.value, 0.5), name="z", depends_on=[y, u])
+    ctx.predict(z.value, label="z")
+
+
 def _one_at_a_time(program, n, seed):
     """run_inference's loop over the single-execution functions."""
     plan = discover(program, seed=seed)
@@ -1001,7 +1071,7 @@ class TestKeyBlocks:
         "program",
         [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
          uniform_program, proposal_program, iv_program, family_switch_program,
-         latent_noise_program],
+         latent_noise_program, outside_families_program],
     )
     @pytest.mark.parametrize("workers", [1, 3])
     def test_blocked_run_matches_single_executions(self, program, workers):
@@ -1016,7 +1086,7 @@ class TestKeyBlocks:
         "program",
         [gaussian_program, noisy_or_program, beta_program, coin_branch_program,
          uniform_program, proposal_program, iv_program, family_switch_program,
-         latent_noise_program],
+         latent_noise_program, outside_families_program],
     )
     @pytest.mark.parametrize("workers", [1, 3])
     def test_rearmed_contexts_leak_nothing_between_samples(self, program, workers):
@@ -1095,6 +1165,8 @@ class TestKeyBlocks:
         assert block_names(noisy_or_program) == {"p0", "p1", "p2", "p3", "y::noise"}
         # an unobserved observable draws its noise from the block
         assert block_names(latent_noise_program) == {"x", "n::noise", "b::noise"}
+        # families defined outside dists, laid out by the raws they declare
+        assert block_names(outside_families_program) == {"x", "u", "z::noise"}
 
     def test_block_streams_replace_scalar_keying(self):
         # digests cannot show which path ran: count scalar stream keyings
@@ -1152,7 +1224,7 @@ class TestKeyBlocks:
         "program",
         ["eager", "lazy", gaussian_program, noisy_or_program, beta_program,
          coin_branch_program, uniform_program, proposal_program, iv_program,
-         family_switch_program],
+         family_switch_program, outside_families_program],
     )
     def test_log_weight_is_the_fsum_of_entry_terms(self, program):
         # the engine adds each entry's term as it records it; the sum must
