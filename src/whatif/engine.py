@@ -41,22 +41,19 @@ order and of how samples are split across workers.  Worker processes
 are forked where the platform allows, so a closure works as a program.
 
 run_inference keys its samples BLOCK at a time: one rng.key_block pass
-computes each sample's key and, for every stream abduction reads at an
-address the discovery pass saw, the stream's base and first raw draws.
-Raws become doubles once per block, where the block is keyed:
-rng.block_inputs converts every column that a choice of a family with
-raws 1 or 2 draws from, numpy doing the exact integer and power-of-two
-steps and math.* the logs and cosines, since np.log rounds some
-differently.  Such a choice then reads its inputs from its sample's row
+computes each sample's key and the first raw draws of every stream that
+abduction draws a family with raws 1 or 2 from, at an address discovery
+saw with no evidence or iv do there.  rng.block_inputs converts those
+raws to doubles once per block, numpy doing the exact integer and
+power-of-two steps and math.* the logs and cosines, since np.log rounds
+some differently.  Such a choice reads its inputs from its sample's row
 by index, with no stream built, and an observable of such a family
-absorbs its evidence without one.  A family with raws 0 (Beta,
-ObservableNoisyOr) starts a stream from the block's raws, one cell at a
-time, and so does a choice whose family differs from the one discovery
-saw at its address, since the block converted its raws for discovery's
-family.  Any other stream (a branch discovery never took, replay's @cf
-redraws), and the one execution that discover, abduction_sample and
-counterfactual_replay each run, take the scalar keyed_stream path, which
-gives the same bits.
+absorbs its evidence without one.  Every stream is started by
+keyed_stream, which gives the same bits: a family with raws 0 (Beta,
+ObservableNoisyOr), a choice whose family differs from the one discovery
+saw at its address, a branch discovery never took, replay's @cf redraws,
+and the one execution that discover, abduction_sample and
+counterfactual_replay each run.
 
 What abduction does at an address (force it, absorb evidence, draw from
 the block's inputs at slot i, or draw from a stream) depends only on the
@@ -111,7 +108,7 @@ from .errors import (
     UnobservableProcedureError,
     StaleTraceError,
 )
-from .rng import RandomStream, block_inputs, key_block, keyed_stream, sample_key
+from .rng import block_inputs, key_block, keyed_stream, sample_key
 from .trace import (
     INTERVENED,
     LATENT,
@@ -120,6 +117,7 @@ from .trace import (
     Trace,
     TraceEntry,
     Value,
+    latent_term,
 )
 
 DISCOVERY, ABDUCTION, REPLAY = 0, 1, 2
@@ -132,7 +130,7 @@ REPLAY_STREAM_SUFFIX = "@cf"
 
 # Samples keyed together by one rng.key_block pass in _run_chunk.
 BLOCK = 128
-_NO_COLUMNS: dict[str, int] = {}  # no key-block columns, or no slots
+_NO_SLOTS: dict[str, int] = {}
 _NO_ACTIONS: dict[str, tuple] = {}
 _NEG_INF = float("-inf")
 
@@ -195,9 +193,6 @@ class ExecutionContext:
         "trace",
         "abducted",
         "_key",
-        "_columns",
-        "_block",
-        "_row",
         "_inputs",
         "_actions",
         "_auto",
@@ -206,37 +201,31 @@ class ExecutionContext:
         "_forces",
     )
 
-    def __init__(self, phase: int, plan: QueryPlan, columns: dict[str, int] = _NO_COLUMNS,
-                 actions: dict[Address, tuple] = _NO_ACTIONS):
+    def __init__(self, phase: int, plan: QueryPlan, actions: dict[Address, tuple] = _NO_ACTIONS):
         self.phase = phase
         self.plan = plan
-        # block[0][row, columns[name]]: base and pre-drawn raws of stream name
-        self._columns = columns
         # addr -> _abduction_action's answer for the family discovery saw there
         self._actions = actions
         # the addresses a do forces in this phase: iv dos in abduction, every do in replay
         self._forces = frozenset(a for a, iv in plan.interventions.items()
                                  if phase == REPLAY or (phase == ABDUCTION and iv.kind == IV))
-        self.trace = self.abducted = self._block = self._inputs = self._tainted = None
-        self._key = self._row = self._auto = self._pred_i = 0
+        self.trace = self.abducted = self._inputs = self._tainted = None
+        self._key = self._auto = self._pred_i = 0
 
-    def _run(self, program, key: int, block: tuple | None = None, row: int = 0,
+    def _run(self, program, key: int, inputs: list | None = None,
              abducted: Trace | None = None, log_weight: float = 0.0) -> Trace:
         """Rearm the context for one execution of program and return its trace.
 
         One context per phase serves a whole chunk of samples.  Rearming
-        gives it a fresh trace, the sample's key, its row of block, the key
-        block's (raw table, converted input rows), and zeroed counters; a
-        replay also gets a fresh taint set and the abducted trace, and its
-        trace starts at log_weight, the abducted weight, as its one term
-        (replay adds no non-zero term, and fsum([w]) == w).
+        gives it a fresh trace, the sample's key, its row of the key
+        block's converted inputs and zeroed counters; a replay also gets a
+        fresh taint set and the abducted trace, and its trace starts at
+        log_weight, the abducted weight, as its one term (replay adds no
+        non-zero term, and fsum([w]) == w).
         """
         self.trace = trace = Trace()
         self._key = key
-        if block is not None:
-            self._block = block
-            self._row = row
-            self._inputs = block[1][row]
+        self._inputs = inputs
         self._auto = self._pred_i = 0
         if abducted is not None:
             self.abducted = abducted
@@ -351,20 +340,13 @@ class ExecutionContext:
 
     # -- phase-specific instantiation -------------------------------------
 
-    def _stream(self, addr: Address) -> RandomStream:
-        """The stream of addr, started from the key block when it holds addr."""
-        j = self._columns.get(addr)
-        if j is None:
-            return keyed_stream(self._key, addr)
-        return RandomStream(*self._block[0][self._row, j].tolist())
-
     def _record(self, addr, value, lp, lq, role, parents, noise=None, term=0.0) -> TraceEntry:
         """Insert the entry and add its weight term in one step.
 
         The caller, which knows the role, passes trace.entry_contribution
-        of the entry as term.  fsum ignores zeros (either sign), so a zero
-        term is skipped and every weight keeps its bits; NaN is non-zero
-        and raises.
+        of the entry as term (trace.latent_term for a drawn latent).  fsum
+        ignores zeros (either sign), so a zero term is skipped and every
+        weight keeps its bits; NaN is non-zero and raises.
         """
         trace = self.trace
         if addr in trace.entries:
@@ -379,33 +361,30 @@ class ExecutionContext:
     def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
         """Sample from the prior or proposal with no evidence applied.
 
-        The draw comes from a stream; a choice abduction draws from the
-        key block's converted inputs goes through _draw or _draw_noise
-        instead.
-        Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream of its
-        own, which no block holds, independent of the abducted draws at
-        the same address.
+        The draw comes from a keyed stream; a choice abduction draws from
+        the key block's converted inputs goes through _draw or _draw_noise
+        instead.  Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream
+        of its own, independent of the abducted draws at the same address.
         """
         kind = getattr(spec, "kind", None)
         if kind == POINT_MASS:
             return self._record(addr, spec.value, 0.0, 0.0, LATENT, parents)
         if kind == PLAIN:
-            value, lp, lq = sample_and_score(spec, self._stream(addr + suffix), proposal)
-            term = lp if lp == _NEG_INF else lp - lq  # a latent's entry_contribution
-            return self._record(addr, value, lp, lq, LATENT, parents, None, term)
+            stream = keyed_stream(self._key, addr + suffix)
+            value, lp, lq = sample_and_score(spec, stream, proposal)
+            return self._record(addr, value, lp, lq, LATENT, parents, None, latent_term(lp, lq))
         if kind != OBSERVABLE:
             raise EngineError(
                 f"{type(spec).__name__} at {addr!r} is not a family: its class must "
                 "declare kind dists.PLAIN, dists.OBSERVABLE or dists.POINT_MASS"
             )
-        noise = spec.sample_noise(self._stream(addr + NOISE_SUFFIX + suffix))
+        noise = spec.sample_noise(keyed_stream(self._key, addr + NOISE_SUFFIX + suffix))
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
 
     def _draw(self, addr, spec, parents, proposal, i) -> Choice:
         """A plain choice with raws > 0 drawn from the sample's block inputs at slot i."""
         value, lp, lq = score_inputs(spec, self._inputs, i, proposal)
-        term = lp if lp == _NEG_INF else lp - lq
-        return self._record(addr, value, lp, lq, LATENT, parents, None, term)
+        return self._record(addr, value, lp, lq, LATENT, parents, None, latent_term(lp, lq))
 
     def _draw_noise(self, addr, spec, parents, proposal, i) -> Choice:
         """An observable choice with raws > 0, its noise drawn from block inputs at slot i."""
@@ -428,9 +407,9 @@ class ExecutionContext:
         That is an address discovery never saw, another family than
         discovery saw there, or any address of a single execution.  None
         of them reads the block's inputs, which were converted for
-        discovery's families: a stream the block holds starts from its raws.
+        discovery's families: each draws from a keyed stream.
         """
-        _, act, arg = _abduction_action(self.plan, _NO_COLUMNS, addr, type(spec))
+        _, act, arg = _abduction_action(self.plan, _NO_SLOTS, addr, type(spec))
         return act(self, addr, spec, parents, proposal, arg)
 
     def _absorb(self, addr, spec, parents, proposal, observed) -> Choice:
@@ -451,7 +430,7 @@ class ExecutionContext:
                 f"unobservable procedure: cannot absorb evidence at {addr!r} "
                 f"({type(spec).__name__} has implicit randomness)"
             )
-        stream = None if spec.raws else self._stream(addr + NOISE_SUFFIX)
+        stream = None if spec.raws else keyed_stream(self._key, addr + NOISE_SUFFIX)
         value, noise, log_q = spec.absorb(observed, stream)
         loglik = spec.noise_log_prior(noise) - log_q
         return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise, loglik)
@@ -497,7 +476,8 @@ class ExecutionContext:
                     f"{getattr(fam, '__name__', fam)} at {addr!r}; "
                     "only observable and Delta procedures absorb evidence"
                 )
-            if addr in plan.interventions:
+            iv = plan.interventions.get(addr)
+            if iv is not None and iv.kind == IV:  # a cf do forces addr only in replay
                 raise EngineError(f"cannot observe intervened address {addr!r}")
             if addr in plan.observed:
                 raise EngineError(f"duplicate observation at address {addr!r}")
@@ -613,13 +593,13 @@ def _abduction_action(plan: QueryPlan, slots: dict[str, int], addr: Address,
     """What abduction does with a fam choice at addr: (fam, act, arg).
 
     The one rule for abduction.  _run_chunk caches its answer for every
-    address discovery saw, with the family discovery saw there, and
-    ExecutionContext._abduct asks it, with no slots, where that table has
-    none.  act(ctx, addr, spec, parents, proposal, arg) makes the entry: a
-    do that forces addr records the do's value; evidence at addr is
-    absorbed; a choice whose family declares raws > 0 and whose stream has
-    a slot in the block's inputs is drawn from them at slot arg; anything
-    else is drawn forward from a stream.
+    address discovery saw, with the family discovery saw there;
+    _block_layout and ExecutionContext._abduct, where that table has none,
+    ask it with no slots.  act(ctx, addr, spec, parents, proposal, arg)
+    makes the entry: a do that forces addr records the do's value;
+    evidence at addr is absorbed; a choice whose family declares raws > 0
+    and whose stream has a slot in the block's inputs is drawn from them
+    at slot arg; anything else is drawn forward from a stream.
     """
     iv = plan.interventions.get(addr)
     if iv is not None and iv.kind == IV:  # abduction ignores a cf do
@@ -691,7 +671,7 @@ def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
     prior draws whose contribution is exactly zero.
     """
     key = sample_key(seed, sample_index)
-    return ExecutionContext(REPLAY, plan)._run(program, key, None, 0, trace, trace.log_weight)
+    return ExecutionContext(REPLAY, plan)._run(program, key, None, trace, trace.log_weight)
 
 
 @dataclass
@@ -710,33 +690,26 @@ class InferenceResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _block_layout(plan: QueryPlan) -> tuple[dict[str, int], dict[str, int], list, list]:
-    """Where abduction finds each stream it reads at an address discovery saw.
+def _block_layout(plan: QueryPlan) -> tuple[list[str], list[str], dict[str, int]]:
+    """The streams abduction draws from the key block, and where their inputs sit.
 
-    Returns (columns, slots, uniform, normal).  columns[name] is the
-    stream's column in rng.key_block's table: the draws _abduction_action
-    takes from the block, and the streams Beta and noisy-OR start from it
-    where no do forces them.  rng.block_inputs(table, uniform, normal)
-    converts the draws' columns for the family discovery saw, and
-    slots[name] is where a draw's inputs start in a row of its result.
+    Returns (uniform, normal, slots): the names of the streams that a
+    choice of a family with raws 1, or raws 2, draws from at an address
+    discovery saw, where _abduction_action with no slots would draw it
+    forward.  rng.key_block keys uniform + normal in that order, and
+    slots[name] is where a draw's inputs start in a row of
+    rng.block_inputs' result.
     """
-    draws = (ExecutionContext._draw, ExecutionContext._draw_noise)
-    columns: dict[str, int] = {}
     uniform: list[str] = []
     normal: list[str] = []
+    forward = ExecutionContext._forward
     for addr, fam in plan.families.items():
-        if fam.kind == POINT_MASS:
-            continue
-        name = addr if fam.kind == PLAIN else addr + NOISE_SUFFIX
-        _, act, _ = _abduction_action(plan, {name: 0}, addr, fam)
-        if act in draws:
+        if fam.raws and _abduction_action(plan, _NO_SLOTS, addr, fam)[1] is forward:
+            name = addr if fam.kind == PLAIN else addr + NOISE_SUFFIX
             (normal if fam.raws == 2 else uniform).append(name)
-        elif fam.raws or act is ExecutionContext._intervened:
-            continue
-        columns[name] = len(columns)
     slots = {name: k for k, name in enumerate(uniform)}
     slots.update((name, len(uniform) + 2 * k) for k, name in enumerate(normal))
-    return columns, slots, [columns[n] for n in uniform], [columns[n] for n in normal]
+    return uniform, normal, slots
 
 
 def _run_chunk(program, plan, seed, keep_traces, lo, hi):
@@ -751,12 +724,14 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     traces = [] if keep_traces else None
     n_rejected = n_abd = n_rep = 0
     abd_s = rep_s = 0.0
-    columns, slots, uniform, normal = _block_layout(plan)
-    names = list(columns)
+    uniform, normal, slots = _block_layout(plan)
+    names = uniform + normal
+    # block_inputs' columns of names: the uniform draws, then the normal ones
+    columns = list(range(len(uniform))), list(range(len(uniform), len(names)))
     actions = {addr: _abduction_action(plan, slots, addr, fam)
                for addr, fam in plan.families.items()}
-    abduct = ExecutionContext(ABDUCTION, plan, columns, actions)._run
-    # replay reads no block column: its redraws use @cf streams
+    abduct = ExecutionContext(ABDUCTION, plan, actions)._run
+    # replay reads no block inputs: its redraws use @cf streams
     replay = ExecutionContext(REPLAY, plan)._run if plan.needs_replay else None
     clock = time.perf_counter
     # Two clock reads per replayed sample, one per other sample: keying
@@ -764,9 +739,8 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     t0 = clock()
     for start in range(lo - lo % BLOCK, hi, BLOCK):
         keys, table = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
-        block = table, block_inputs(table, uniform, normal)
-        for r, key in enumerate(keys):
-            abd = abduct(program, key, block, r)
+        for key, inputs in zip(keys, block_inputs(table, *columns)):
+            abd = abduct(program, key, inputs)
             t0, t1 = clock(), t0
             abd_s += t0 - t1
             n_abd += 1
@@ -777,7 +751,7 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
             merged = dict(abd.predictions)
             rep = None
             if replay is not None and not rejected:
-                rep = replay(program, key, None, 0, abd, lw)
+                rep = replay(program, key, None, abd, lw)
                 t0, t1 = clock(), t0
                 rep_s += t0 - t1
                 n_rep += 1

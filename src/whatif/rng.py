@@ -13,16 +13,12 @@ through blake2b so the mapping is stable across processes and platforms
 (never the salted builtin hash()).
 
 The engine keys a block of samples at once: key_block computes, in one
-numpy uint64 pass, every sample's key and, for each stream name the
-discovery pass recorded, each sample's stream base and first PRE_DRAWN
-raw draws.  numpy's uint64 arithmetic wraps modulo 2^64 exactly like the
-masked Python ints of _mix64, so the table holds the same bits as
-keyed_stream would draw.  A choice whose whole draw fits in those raws
-is computed from them, converted by block_inputs; a stream started from
-the table (RandomStream(base, raw1, raw2)) serves one that may need
-more, and past its pre-drawn raws it continues at the counter.  A name
-outside the block, or a single execution, takes the scalar path through
-keyed_stream.
+numpy uint64 pass, every sample's key and, for each stream name it is
+given, the stream's base and first PRE_DRAWN raw draws.  numpy's uint64
+arithmetic wraps modulo 2^64 exactly like the masked Python ints of
+_mix64, so the table holds the same bits as keyed_stream would draw.
+Only block_inputs reads those raws, to convert them for the choices
+whose whole draw fits in them; every stream starts at keyed_stream.
 
 Raws become doubles in two places, with the same bits.  A stream, and
 so dists' sample and sample_noise, converts them one at a time through
@@ -101,26 +97,18 @@ def normal_parts(raw1: int, raw2: int) -> tuple[float, float]:
 
 
 class RandomStream:
-    """Stateful view over one address's counter-based draw sequence.
+    """Stateful view over one address's counter-based draw sequence, from its base."""
 
-    raws, when given, are the sequence's first draws computed ahead of
-    time; the stream returns them first and then continues at the counter.
-    """
+    __slots__ = ("_base", "_n")
 
-    __slots__ = ("_base", "_n", "_raws")
-
-    def __init__(self, base: int, *raws: int):
+    def __init__(self, base: int):
         self._base = base
-        self._raws = raws
         self._n = 0
 
     def next_raw(self) -> int:
         """The sequence's next raw 64-bit draw."""
-        n = self._n
-        self._n = n + 1
-        if n < len(self._raws):
-            return self._raws[n]
-        return _mix64(self._base + (n + 1) * _GAMMA)
+        n = self._n = self._n + 1
+        return _mix64(self._base + n * _GAMMA)
 
     def uniform(self) -> float:
         """Uniform double in [0, 1)."""
@@ -159,13 +147,12 @@ def rng_for_address(seed: int, sample_index: int, address: str) -> RandomStream:
 
 
 def key_block(seed: int, lo: int, hi: int, names: list[str]) -> tuple[list[int], np.ndarray]:
-    """Key samples lo..hi-1 and start the named streams, in one numpy pass.
+    """Key samples lo..hi-1 and draw ahead on the named streams, in one numpy pass.
 
     Returns (keys, table): keys[r] == sample_key(seed, lo + r) as a Python
     int, and table[r, j] (uint64) holds the base of stream names[j] in
-    that execution and then its first PRE_DRAWN raw draws, so
-    RandomStream(*table[r, j].tolist()) draws what keyed_stream(keys[r],
-    names[j]) draws.
+    that execution and then its first PRE_DRAWN raw draws, the ones
+    keyed_stream(keys[r], names[j]).next_raw() returns first.
     """
     index = np.uint64(lo & _MASK) + np.arange(hi - lo, dtype=np.uint64)
     keys = _mix64_array(np.uint64(_mix64(seed & _MASK)) ^ index)

@@ -52,12 +52,15 @@ class TraceEntry:
     noise: object = None  # an observable's explicit noise; None otherwise
 
 
+def latent_term(log_prior: float, log_proposal: float) -> float:
+    """A latent's contribution: -inf where the prior rules its value out."""
+    return log_prior if log_prior == _NEG_INF else log_prior - log_proposal
+
+
 def entry_contribution(entry: TraceEntry) -> float:
     """Log-weight contribution of a single entry, per its role."""
     if entry.role == LATENT:
-        if entry.log_prior == _NEG_INF:
-            return _NEG_INF
-        return entry.log_prior - entry.log_proposal
+        return latent_term(entry.log_prior, entry.log_proposal)
     if entry.role == OBSERVED:
         return entry.log_prior
     return 0.0

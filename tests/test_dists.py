@@ -120,6 +120,23 @@ def _bits(x):
     return x.hex() if isinstance(x, float) else repr(x)
 
 
+class _FirstRaws(RandomStream):
+    """A fake stream: its first draws are the given raws, then it counts on from base."""
+
+    __slots__ = ("_first",)
+
+    def __init__(self, base, *first):
+        super().__init__(base)
+        self._first = first
+
+    def next_raw(self):
+        n = self._n
+        if n < len(self._first):
+            self._n = n + 1
+            return self._first[n]
+        return super().next_raw()
+
+
 _RAW = st.integers(0, 2**64 - 1)
 _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -132,9 +149,9 @@ _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
     # a key block's choice is drawn from the inputs its family's raws
     # declare, converted from its stream's first raws; it must give what
-    # the stream started from those raws gives
+    # a stream whose first draws are those raws gives
     def started():
-        return RandomStream(base, raw1, raw2)
+        return _FirstRaws(base, raw1, raw2)
 
     def inputs(spec):
         return {1: (to_uniform(raw1),), 2: normal_parts(raw1, raw2)}[spec.raws]

@@ -422,6 +422,28 @@ class TestStatements:
         with pytest.raises(EngineError, match="observe intervened"):
             wi.run_inference(program, 5, seed=0)
 
+    def test_observe_and_cf_do_answer_in_either_order(self):
+        # a cf do forces y only in replay, so abduction still absorbs the
+        # evidence on y, whichever statement comes first
+        def program(ctx, do_first):
+            x = ctx.normal(0, 1, name="x")
+            y = ctx.observable_normal(x.value, 1, name="y", depends_on=[x])
+            if do_first:
+                ctx.do(y, 3.0, kind=wi.CF)
+            ctx.observe(y, 1.0)
+            if not do_first:
+                ctx.do(y, 3.0, kind=wi.CF)
+            z = ctx.observable_normal(x.value + y.value, 0.5, name="z", depends_on=[x, y])
+            ctx.predict(z.value, label="z")
+
+        runs = [wi.run_inference(lambda ctx, f=f: program(ctx, f), 300, seed=4)
+                for f in (True, False)]
+        assert runs[0].log_weights.tobytes() == runs[1].log_weights.tobytes()
+        assert np.isfinite(runs[0].log_weights).all()
+        est = wi.estimate_expectation(runs[0])
+        assert est.hex() == wi.estimate_expectation(runs[1]).hex()
+        assert abs(est - 3.5) < 0.3  # E[x | y = 1] + 3, as x | y = 1 is N(0.5, 0.5)
+
     def test_iv_on_observed_address_rejected(self):
         def program(ctx):
             y = ctx.observable_normal(0, 1, name="y")
@@ -1160,13 +1182,14 @@ class TestKeyBlocks:
         # iv-forced address records the do's value
         assert block_names(gaussian_program) == {"X", "Z"}
         assert block_names(iv_program) == {"z"}
-        assert block_names(beta_program) == {"p"}
-        # an observed noisy-OR still starts its noise stream from the block
-        assert block_names(noisy_or_program) == {"p0", "p1", "p2", "p3", "y::noise"}
+        # a family with raws 0 (Beta, noisy-OR, Exponential) keys its stream
+        # on the scalar path
+        assert block_names(beta_program) == set()
+        assert block_names(noisy_or_program) == {"p0", "p1", "p2", "p3"}
         # an unobserved observable draws its noise from the block
         assert block_names(latent_noise_program) == {"x", "n::noise", "b::noise"}
         # families defined outside dists, laid out by the raws they declare
-        assert block_names(outside_families_program) == {"x", "u", "z::noise"}
+        assert block_names(outside_families_program) == {"x", "z::noise"}
 
     def test_block_streams_replace_scalar_keying(self):
         # digests cannot show which path ran: count scalar stream keyings
@@ -1178,8 +1201,10 @@ class TestKeyBlocks:
         assert scalar_keyings(gaussian_program) == 0
         for style in ("eager", "lazy"):
             assert scalar_keyings(build_program(scm, query, style)) == 0
-        # streams discovery never saw fall back to the scalar path
-        assert scalar_keyings(coin_branch_program) > 0
+        # streams discovery never saw, and those of families with raws 0,
+        # take the scalar path
+        for program in (coin_branch_program, beta_program, noisy_or_program):
+            assert scalar_keyings(program) > 0
 
     def test_block_choices_build_no_stream(self):
         # Normal, Bernoulli and the observables' noise are drawn from the

@@ -135,16 +135,19 @@ def _draw_hexes(stream, ops):
 )
 @settings(max_examples=150)
 def test_key_block_matches_the_scalar_path(seed, lo, n, names, ops):
-    # more draws than PRE_DRAWN, so each stream runs past its block raws
+    # a stream started at the table's base draws what keyed_stream draws,
+    # past its PRE_DRAWN raws too, and those raws are its first draws
     assert len(ops) > PRE_DRAWN
     keys, table = key_block(seed, lo, lo + n, names)
     for r, i in enumerate(range(lo, lo + n)):
-        key, starts = keys[r], table[r].tolist()
+        key, cells = keys[r], table[r].tolist()
         assert key == sample_key(seed, i)
         for j, name in enumerate(names):
-            blocked = RandomStream(*starts[j])
+            base, *raws = cells[j]
             scalar = keyed_stream(sample_key(seed, i), name)
-            assert _draw_hexes(blocked, ops) == _draw_hexes(scalar, ops)
+            assert raws == [scalar.next_raw() for _ in range(PRE_DRAWN)]
+            scalar = keyed_stream(sample_key(seed, i), name)
+            assert _draw_hexes(RandomStream(base), ops) == _draw_hexes(scalar, ops)
 
 
 # raw 0 and 2**64 - 1 are the ends of both uniforms, so 2**64 - 1 gives
