@@ -14,7 +14,8 @@ Observable families model an endogenous quantity as a deterministic
 function of its parents composed with an explicit noise variable, and
 share one protocol:
 
-    sample_noise(stream)        draw the noise from its prior
+    draw_noise_from(inputs, i)  draw the noise from its prior (or, with
+                                raws 0, sample_noise(stream); see below)
     output(noise)               the value that noise produces
     noise_log_prior(noise)      log prior mass or density of the noise
     absorb(observed, stream)    (value, noise, log_q): a noise that
@@ -25,18 +26,16 @@ Because the noise is explicit, evidence is absorbed without rejection,
 and counterfactual replay can rerun output() under new parent values
 while holding the abducted noise fixed.
 
-A family with raws 1 or 2 draws from at most rng.PRE_DRAWN raws, the
-ones a key block computes ahead, and its draw is one rule on inputs
-converted from those raws: draw_from(inputs, i) for a plain family,
-draw_noise_from(inputs, i) for an observable one, reading inputs[i], or
-inputs[i] and inputs[i + 1] with raws 2.  A key block converts its raws
-to such inputs a column at a time (rng.block_inputs); sample and
-sample_noise convert a stream's next raws (stream.uniform() or
-normal_parts) and call the same rule, so both paths give the same bits.
-Such an observable absorbs by inverting output(), drawing nothing, and
-takes stream None.  Beta's rejection loop and ObservableNoisyOr's
-per-parent noises draw an unbounded or larger count: they declare raws
-0 and keep the stream.
+A family draws a plain value or an observable's noise by one method.
+With raws 0 it is sample(stream) or sample_noise(stream), which draw as
+many raws as they need: Beta's rejection loop and ObservableNoisyOr's
+per-parent noises.  With raws 1 or 2 (at most rng.PRE_DRAWN, the raws a
+key block computes ahead) it is draw_from(inputs, i) or
+draw_noise_from(inputs, i), reading inputs[i], and inputs[i + 1] with
+raws 2.  A key block converts its raws to such inputs a column at a time
+(rng.block_inputs), a stream its next raws (RandomStream.inputs), so
+both paths give the same bits by construction.  Such an observable
+absorbs by inverting output(), drawing nothing, and takes stream None.
 
 Every spec is a slotted value object: equal, repr'd, copied and pickled
 by its declared fields, not hashable, and never written to by the
@@ -59,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .rng import RandomStream, normal_parts
+from .rng import RandomStream
 
 # A family's kind, its class attribute `kind` (see the module doc).
 PLAIN, OBSERVABLE, POINT_MASS = "plain", "observable", "point mass"
@@ -92,9 +91,6 @@ class Normal:
     def draw_from(self, inputs, i: int) -> float:
         return self.mean + self.std * inputs[i] * inputs[i + 1]  # normal_parts' order
 
-    def sample(self, stream: RandomStream) -> float:
-        return self.draw_from(normal_parts(stream.next_raw(), stream.next_raw()), 0)
-
 
 @dataclass(slots=True)
 class Bernoulli:
@@ -120,9 +116,6 @@ class Bernoulli:
     def draw_from(self, inputs, i: int) -> bool:
         return inputs[i] < self.p
 
-    def sample(self, stream: RandomStream) -> bool:
-        return self.draw_from((stream.uniform(),), 0)
-
 
 @dataclass(slots=True)
 class Uniform:
@@ -142,9 +135,6 @@ class Uniform:
 
     def draw_from(self, inputs, i: int) -> float:
         return self.lo + inputs[i] * (self.hi - self.lo)
-
-    def sample(self, stream: RandomStream) -> float:
-        return self.draw_from((stream.uniform(),), 0)
 
 
 def _gamma_sample(stream: RandomStream, shape: float) -> float:
@@ -201,9 +191,6 @@ class Delta:
     def log_density(self, x) -> float:
         return 0.0 if x == self.value else _NEG_INF
 
-    def sample(self, stream: RandomStream):
-        return self.value
-
 
 @dataclass(slots=True)
 class ObservableNormal:
@@ -226,9 +213,6 @@ class ObservableNormal:
 
     def draw_noise_from(self, inputs, i: int) -> float:
         return 0.0 + self.noise_std * inputs[i] * inputs[i + 1]  # normal_parts' order
-
-    def sample_noise(self, stream: RandomStream) -> float:
-        return self.draw_noise_from(normal_parts(stream.next_raw(), stream.next_raw()), 0)
 
     def output(self, noise: float) -> float:
         return self.mean + noise
@@ -270,9 +254,6 @@ class ObservableBernoulli:
 
     def draw_noise_from(self, inputs, i: int) -> bool:
         return inputs[i] < self.flip_prob
-
-    def sample_noise(self, stream: RandomStream) -> bool:
-        return self.draw_noise_from((stream.uniform(),), 0)
 
     def output(self, noise: bool) -> bool:
         return bool(self.f_value) != bool(noise)
@@ -369,8 +350,11 @@ def sample_and_score(spec, stream: RandomStream, proposal=None):
 
     Returns (value, log_prior, log_proposal).  With no proposal override
     the two densities are the same float object, so prior == proposal
-    holds bitwise by construction.
+    holds bitwise by construction.  With raws 1 or 2 it is score_inputs on
+    the stream's next raws.
     """
+    if spec.raws:
+        return score_inputs(spec, stream.inputs(spec.raws), 0, proposal)
     if proposal is None:
         value = spec.sample(stream)
         lp = spec.log_density(value)

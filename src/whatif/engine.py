@@ -8,27 +8,13 @@ a choice is one object and one entry: an observable's entry also carries
 its explicit noise.  The trace keyed by address is the only address
 registry and the memo of value_if_needed.
 Every procedure goes through one positional entry point,
-ExecutionContext._choose(spec, name, parents, proposal), whose parents
-is a tuple of addresses: sample and the family constructors resolve
-their depends_on handles to it.  _choose hands the procedure to the
-handler of the current phase:
-
-  discovery   one execution that records the query structure: which
-              addresses are observed or intervened, the predict labels,
-              and the declared dependency edges.
-  abduction   N importance-sampling executions of the posterior given
-              the evidence.  Observable procedures absorb their
-              observation through their family's absorb(); do(..., "cf")
-              interventions are ignored here, do(..., "iv") are forced.
-  replay      for counterfactual queries, each abducted trace is run
-              once more with interventions forced.  Replay decides which
-              choices are downstream of a cf intervention per execution,
-              from the depends_on parents each choice declares, not from
-              the discovery execution.  Choices that are not downstream
-              keep their abducted values bitwise, deterministic ones
-              downstream are recomputed, observable ones downstream rerun
-              output() under the abducted noise, and log-weights carry
-              over unchanged.
+_choose(spec, name, parents, proposal), whose parents is a tuple of
+addresses: sample and the family constructors resolve their depends_on
+handles to it.  Each phase's context class defines _choose, its choice
+rule, and the phase's statements: Discovery runs once and records
+the query structure, Abduction runs N importance-sampling executions of
+the posterior given the evidence, and for a counterfactual query Replay
+runs each abducted trace once more with interventions forced.
 
 The engine tells families apart only by the kind and raws each family
 class declares (see dists); a spec whose class declares no kind raises
@@ -55,24 +41,11 @@ saw at its address, a branch discovery never took, replay's @cf redraws,
 and the one execution that discover, abduction_sample and
 counterfactual_replay each run.
 
-What abduction does at an address (force it, absorb evidence, draw from
-the block's inputs at slot i, or draw from a stream) depends only on the
-plan, the block's layout and the family, so each chunk of samples works
-it out once per address discovery saw, with _abduction_action, the one
-rule, and keeps the answers in an action table keyed by address.  A choice
-whose family matches the table's costs one lookup there; any other
-choice (an address discovery never saw, another family at the address,
-every choice of a single execution) asks the rule again.  Replay carries
-a choice that no do forces and no tainted parent reaches over from the
-abducted trace: it stores the abducted entry itself, with one dict write,
-unless the choice now declares other parents, which get an entry of
-their own.  So a handle is read-only: a carried one is shared by both
-traces.  A chunk builds one abduction and one replay
-context and rearms them for each sample (ExecutionContext._run), so a
-context is valid only during the call it is passed to.  A replay trace
-starts holding the abducted log-weight as its one term; a rejected
-sample is never replayed.  run_inference counts the executions of each
-phase and times them (InferenceResult.executions and .phase_seconds).
+A chunk builds one Abduction and one Replay context and rearms them for
+each sample (their _run), so a context is valid only during the call it
+is passed to.  A rejected sample is never replayed.  run_inference counts the
+executions of each phase and times them (InferenceResult.executions and
+.phase_seconds).
 """
 
 from __future__ import annotations
@@ -120,8 +93,6 @@ from .trace import (
     latent_term,
 )
 
-DISCOVERY, ABDUCTION, REPLAY = 0, 1, 2
-
 CF = "cf"
 IV = "iv"
 
@@ -131,7 +102,6 @@ REPLAY_STREAM_SUFFIX = "@cf"
 # Samples keyed together by one rng.key_block pass in _run_chunk.
 BLOCK = 128
 _NO_SLOTS: dict[str, int] = {}
-_NO_ACTIONS: dict[str, tuple] = {}
 _NEG_INF = float("-inf")
 
 
@@ -185,59 +155,24 @@ class ExecutionContext:
     Programs should treat this as their sole source of randomness and
     side effects; the same program must request the same addresses in
     every execution, except where an intervention changes control flow.
+    Discovery, Abduction and Replay subclass it, one per phase.
     """
 
-    __slots__ = (
-        "phase",
-        "plan",
-        "trace",
-        "abducted",
-        "_key",
-        "_inputs",
-        "_actions",
-        "_auto",
-        "_tainted",
-        "_pred_i",
-        "_forces",
-    )
+    __slots__ = ("plan", "trace", "_key", "_auto", "_pred_i", "_forces")
+    _FORCED_KINDS: tuple[str, ...] = ()  # the do kinds the phase forces, at _forces
 
-    def __init__(self, phase: int, plan: QueryPlan, actions: dict[Address, tuple] = _NO_ACTIONS):
-        self.phase = phase
+    def __init__(self, plan: QueryPlan):
         self.plan = plan
-        # addr -> _abduction_action's answer for the family discovery saw there
-        self._actions = actions
-        # the addresses a do forces in this phase: iv dos in abduction, every do in replay
         self._forces = frozenset(a for a, iv in plan.interventions.items()
-                                 if phase == REPLAY or (phase == ABDUCTION and iv.kind == IV))
-        self.trace = self.abducted = self._inputs = self._tainted = None
-        self._key = self._auto = self._pred_i = 0
+                                 if iv.kind in self._FORCED_KINDS)
 
-    def _run(self, program, key: int, inputs: list | None = None,
-             abducted: Trace | None = None, log_weight: float = 0.0) -> Trace:
-        """Rearm the context for one execution of program and return its trace.
-
-        One context per phase serves a whole chunk of samples.  Rearming
-        gives it a fresh trace, the sample's key, its row of the key
-        block's converted inputs and zeroed counters; a replay also gets a
-        fresh taint set and the abducted trace, and its trace starts at
-        log_weight, the abducted weight, as its one term (replay adds no
-        non-zero term, and fsum([w]) == w).
-        """
+    def _run(self, program, key: int) -> Trace:
+        """Rearm the context for one execution of program and return its trace:
+        a fresh trace, the sample's key and zeroed counters."""
         self.trace = trace = Trace()
         self._key = key
-        self._inputs = inputs
         self._auto = self._pred_i = 0
-        if abducted is not None:
-            self.abducted = abducted
-            self._tainted = set()
-            trace.terms.append(log_weight)
         program(self)
-        if self.phase == ABDUCTION and self._pred_i < len(self.plan.predicts):
-            # replay may skip a predict, as a cf do can change control flow
-            raise StaleTraceError(
-                f"stale trace: predict {self.plan.predicts[self._pred_i][0]!r} "
-                "recorded during discovery was not issued"
-            )
         return trace
 
     # -- procedure constructors -------------------------------------------
@@ -250,6 +185,9 @@ class ExecutionContext:
         Only plain families draw their value, so only they take a proposal.
         """
         parents = self._addresses(name, depends_on) if depends_on else ()
+        if proposal is not None and getattr(spec, "kind", None) != PLAIN:
+            addr = f"auto:{self._auto}" if name is None else name
+            raise EngineError(f"{type(spec).__name__} at {addr!r} takes no proposal")
         return self._choose(spec, name, parents, proposal)
 
     def normal(self, mean, std, *, name=None, depends_on=()) -> Choice:
@@ -300,45 +238,11 @@ class ExecutionContext:
                 f"it depends on, got {depends_on!r}"
             ) from None
 
-    def _choose(self, spec, name, parents, proposal) -> Choice:
-        """The one entry of every choice, by position; parents is a tuple of addresses,
-        which sample and the constructors resolve from their depends_on handles."""
-        if name is None:
-            addr = f"auto:{self._auto}"
-            self._auto += 1
-        else:
-            addr = name
-        if proposal is not None and getattr(spec, "kind", None) != PLAIN:
-            raise EngineError(f"{type(spec).__name__} at {addr!r} takes no proposal")
-        phase = self.phase
-        if phase == ABDUCTION:
-            act = self._actions.get(addr)
-            if act is None or act[0] is not type(spec):
-                return self._abduct(addr, spec, parents, proposal)
-            return act[1](self, addr, spec, parents, proposal, act[2])
-        if phase == REPLAY:
-            iv = self.plan.interventions.get(addr)
-            if iv is not None:
-                return self._forced(addr, parents, iv)  # replay forces both kinds
-            tainted = self._tainted
-            prev = self.abducted.entries.get(addr)
-            if prev is not None and (not tainted or tainted.isdisjoint(parents)):
-                # Not downstream of a cf intervention: the abducted world carries
-                # over, as the abducted entry itself where it declared these parents.
-                if parents == prev.parents:
-                    entries = self.trace.entries
-                    if addr in entries:
-                        raise AddressCollisionError(
-                            f"address collision: {addr!r} already recorded")
-                    entries[addr] = prev
-                    return prev
-                return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents, prev.noise)
-            return self._replay(addr, spec, parents, prev)
-        self.plan.parents[addr] = parents
-        self.plan.families[addr] = type(spec)
-        return self._forward(addr, spec, parents, proposal)
-
-    # -- phase-specific instantiation -------------------------------------
+    def _auto_address(self) -> Address:
+        """The address each phase's _choose gives an unnamed choice."""
+        addr = f"auto:{self._auto}"
+        self._auto += 1
+        return addr
 
     def _record(self, addr, value, lp, lq, role, parents, noise=None, term=0.0) -> TraceEntry:
         """Insert the entry and add its weight term in one step.
@@ -361,10 +265,10 @@ class ExecutionContext:
     def _forward(self, addr, spec, parents, proposal=None, suffix="") -> Choice:
         """Sample from the prior or proposal with no evidence applied.
 
-        The draw comes from a keyed stream; a choice abduction draws from
-        the key block's converted inputs goes through _draw or _draw_noise
-        instead.  Replay passes REPLAY_STREAM_SUFFIX to redraw on a stream
-        of its own, independent of the abducted draws at the same address.
+        The draw comes from a keyed stream (abduction's block draws go
+        through Abduction._draw or _draw_noise).  Replay passes
+        REPLAY_STREAM_SUFFIX to redraw on a stream of its own, independent
+        of the abducted draws at the same address.
         """
         kind = getattr(spec, "kind", None)
         if kind == POINT_MASS:
@@ -378,8 +282,182 @@ class ExecutionContext:
                 f"{type(spec).__name__} at {addr!r} is not a family: its class must "
                 "declare kind dists.PLAIN, dists.OBSERVABLE or dists.POINT_MASS"
             )
-        noise = spec.sample_noise(keyed_stream(self._key, addr + NOISE_SUFFIX + suffix))
+        stream = keyed_stream(self._key, addr + NOISE_SUFFIX + suffix)
+        raws = spec.raws
+        noise = spec.draw_noise_from(stream.inputs(raws), 0) if raws else spec.sample_noise(stream)
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
+
+    def _forced(self, addr, spec, parents, proposal, iv: Intervention) -> Choice:
+        """The intervened entry of addr, forced to the value of the do iv."""
+        return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
+
+    def _planned(self, label) -> tuple[str, bool]:
+        """The next predict discovery recorded, checked against this one's label."""
+        i = self._pred_i
+        self._pred_i = i + 1
+        if i >= len(self.plan.predicts):
+            raise StaleTraceError("predict statement not present during discovery")
+        planned = self.plan.predicts[i]
+        if label is not None and label != planned[0]:
+            raise StaleTraceError(
+                f"predict label changed between executions: {label!r} vs "
+                f"{planned[0]!r}"
+            )
+        return planned
+
+    # -- lazy evaluation gates ---------------------------------------------
+
+    def value_if_needed(self, name: Address, thunk, *args) -> Choice:
+        """Memoized access to the procedure at a known address.
+
+        The memo is the trace itself: an address already recorded in this
+        execution returns its entry without calling thunk(*args).
+
+        For an address the current phase forces (in _forces) the forced
+        value is recorded, with the parents discovery saw declared there,
+        and the thunk never runs, so none of its ancestors are evaluated on
+        its account.
+        """
+        got = self.trace.entries.get(name)
+        if got is not None:
+            return got
+        if name in self._forces:
+            plan = self.plan
+            return self._forced(name, None, plan.parents.get(name, ()), None,
+                                plan.interventions[name])
+        choice = thunk(*args)
+        if not isinstance(choice, Choice) or choice.address != name:
+            raise EngineError(
+                f"value_if_needed thunk for {name!r} produced "
+                f"{getattr(choice, 'address', choice)!r}"
+            )
+        return choice
+
+    def observing(self) -> bool:
+        """True in phases that absorb evidence (discovery, abduction)."""
+        return True
+
+    def intervening(self) -> bool:
+        """True only while interventions are being recorded (discovery)."""
+        return False
+
+
+def _do_kind(kind) -> str:
+    """A do's kind, lower-cased; anything but "cf" or "iv" raises ValueError."""
+    kind = kind.lower() if isinstance(kind, str) else kind
+    if kind not in (CF, IV):
+        raise ValueError(f"intervention kind must be 'cf' or 'iv', got {kind!r}")
+    return kind
+
+
+class Discovery(ExecutionContext):
+    """The one execution that records the query structure into the plan:
+    each choice's family and declared parents, drawn forward, the observed
+    and intervened addresses and the predict labels."""
+
+    __slots__ = ()
+
+    def _choose(self, spec, name, parents, proposal) -> Choice:
+        addr = self._auto_address() if name is None else name
+        self.plan.parents[addr] = parents
+        self.plan.families[addr] = type(spec)
+        return self._forward(addr, spec, parents, proposal)
+
+    def observe(self, choice: Choice, value) -> None:
+        """Condition the procedure behind choice on an observed value: discovery
+        records it, abduction absorbs it with the choice, replay ignores it."""
+        addr = choice.address
+        plan = self.plan
+        fam = plan.families.get(addr)
+        if getattr(fam, "kind", None) not in (OBSERVABLE, POINT_MASS):
+            raise UnobservableProcedureError(
+                f"unobservable procedure: cannot observe "
+                f"{getattr(fam, '__name__', fam)} at {addr!r}; "
+                "only observable and Delta procedures absorb evidence"
+            )
+        iv = plan.interventions.get(addr)
+        if iv is not None and iv.kind == IV:  # a cf do forces addr only in replay
+            raise EngineError(f"cannot observe intervened address {addr!r}")
+        if addr in plan.observed:
+            raise EngineError(f"duplicate observation at address {addr!r}")
+        plan.observed[addr] = value
+
+    def do(self, choice: Choice, value, kind: str = CF) -> None:
+        """Force the value at choice's address.
+
+        kind "cf" forces only in the replay phase (three-step
+        counterfactual); kind "iv" forces in every phase, equivalent to
+        editing the model.  Discovery records the do.
+        """
+        kind = _do_kind(kind)
+        plan = self.plan
+        addr = choice.address
+        if addr in plan.interventions:
+            raise EngineError(f"duplicate intervention at address {addr!r}")
+        if kind == IV and addr in plan.observed:
+            raise EngineError(
+                f"cannot iv-intervene observed address {addr!r}; evidence on a "
+                "surgically forced value has no effect"
+            )
+        plan.interventions[addr] = Intervention(value, kind)
+
+    def predict(self, value, *, label: str | None = None, counterfactual: bool = True) -> None:
+        """Register value under label in the result.
+
+        counterfactual=True reports the value from the replay execution
+        when one runs; otherwise the abduction-phase value is reported.
+        Every abduction execution must issue the predicts discovery
+        recorded, in order (Abduction._run checks that none is missing); a
+        replay that skips one keeps the abduction value as its fallback.
+        """
+        plan = self.plan
+        if label is None:
+            label = f"predict:{len(plan.predicts)}"
+        if any(label == lab for lab, _ in plan.predicts):
+            raise EngineError(f"duplicate predict label {label!r}")
+        plan.predicts.append((label, counterfactual))
+
+    def intervening(self) -> bool:
+        return True
+
+
+class Abduction(ExecutionContext):
+    """N importance-sampling executions of the posterior given the evidence.
+
+    Evidence is absorbed through the family's absorb(); an iv do is
+    forced and a cf do ignored, as _abduction_action, the one rule, says;
+    a chunk keeps its answers for the addresses discovery saw in a table.
+    """
+
+    __slots__ = ("_actions", "_inputs")
+    _FORCED_KINDS = (IV,)
+
+    def __init__(self, plan: QueryPlan, actions: dict[Address, tuple]):
+        super().__init__(plan)
+        # addr -> _abduction_action's answer for the family discovery saw there
+        self._actions = actions
+
+    def _run(self, program, key: int, inputs: list | None) -> Trace:
+        """One execution on the sample's row of the key block's converted inputs
+        (None for a single execution, whose action table is empty)."""
+        self._inputs = inputs
+        trace = ExecutionContext._run(self, program, key)
+        if self._pred_i < len(self.plan.predicts):
+            # replay may skip a predict, as a cf do can change control flow
+            raise StaleTraceError(
+                f"stale trace: predict {self.plan.predicts[self._pred_i][0]!r} "
+                "recorded during discovery was not issued"
+            )
+        return trace
+
+    def _choose(self, spec, name, parents, proposal) -> Choice:
+        addr = self._auto_address() if name is None else name
+        act = self._actions.get(addr)
+        if act is None or act[0] is not type(spec):
+            # An unseen address, another family, or a single execution: none
+            # reads the block's inputs, converted for discovery's families.
+            act = _abduction_action(self.plan, _NO_SLOTS, addr, type(spec))
+        return act[1](self, addr, spec, parents, proposal, act[2])
 
     def _draw(self, addr, spec, parents, proposal, i) -> Choice:
         """A plain choice with raws > 0 drawn from the sample's block inputs at slot i."""
@@ -390,27 +468,6 @@ class ExecutionContext:
         """An observable choice with raws > 0, its noise drawn from block inputs at slot i."""
         noise = spec.draw_noise_from(self._inputs, i)
         return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
-
-    def _intervened(self, addr, spec, parents, proposal, value) -> Choice:
-        """addr forced to value by an iv do in abduction."""
-        return self._record(addr, value, 0.0, 0.0, INTERVENED, parents)
-
-    def _forced(self, addr, parents, iv: Intervention) -> Choice:
-        """The intervened entry of addr, forced by the do iv; a cf do taints addr."""
-        if iv.kind == CF:
-            self._tainted.add(addr)
-        return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
-
-    def _abduct(self, addr, spec, parents, proposal) -> Choice:
-        """Abduction at an address the execution's action table does not answer.
-
-        That is an address discovery never saw, another family than
-        discovery saw there, or any address of a single execution.  None
-        of them reads the block's inputs, which were converted for
-        discovery's families: each draws from a keyed stream.
-        """
-        _, act, arg = _abduction_action(self.plan, _NO_SLOTS, addr, type(spec))
-        return act(self, addr, spec, parents, proposal, arg)
 
     def _absorb(self, addr, spec, parents, proposal, observed) -> Choice:
         """Condition the procedure at addr on its observed value.
@@ -435,17 +492,71 @@ class ExecutionContext:
         loglik = spec.noise_log_prior(noise) - log_q
         return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise, loglik)
 
-    def _replay(self, addr, spec, parents, prev) -> Choice:
-        """Rerun one choice that is downstream of a cf intervention.
+    def observe(self, choice: Choice, value) -> None:
+        """The evidence was absorbed with the choice; check discovery recorded it."""
+        if choice.address not in self.plan.observed:
+            raise StaleTraceError(
+                f"stale trace: observation at {choice.address!r} was not present "
+                "during discovery"
+            )
 
-        A choice is downstream, "tainted", when it is cf-forced, falls
-        back to its prior, or declares a tainted parent.  Programs create
-        parents before children, so this per-execution taint is exact
-        even where control flow differs from the discovery execution.
-        _choose forces or carries every other choice; prev is the
-        abducted entry at addr, or None.
-        """
-        self._tainted.add(addr)
+    def do(self, choice: Choice, value, kind: str = CF) -> None:
+        """An iv do was forced with the choice; check discovery recorded the do."""
+        _do_kind(kind)
+        if choice.address not in self.plan.interventions:
+            raise StaleTraceError(
+                f"stale trace: intervention at {choice.address!r} was not present during discovery"
+            )
+
+    def predict(self, value, *, label: str | None = None, counterfactual: bool = True) -> None:
+        """Report value; for a counterfactual label, a fallback replay overwrites when it runs."""
+        self.trace.predictions.append((self._planned(label)[0], value))
+
+
+class Replay(ExecutionContext):
+    """For a counterfactual query, one more execution per abducted trace.
+
+    Every do is forced.  A choice is downstream of a cf do, "tainted",
+    when it is cf-forced, falls back to its prior, or declares a tainted
+    parent; programs create parents before children, so this taint is
+    exact even where control flow differs from discovery.  Downstream, a
+    deterministic choice is recomputed and an observable one reruns
+    output() under the abducted noise; any other choice is carried over,
+    so a handle is read-only: a carried one is shared by both traces.
+    """
+
+    __slots__ = ("abducted", "_tainted")
+    _FORCED_KINDS = (CF, IV)
+
+    def _run(self, program, key: int, abducted: Trace) -> Trace:
+        """Replay abducted with a fresh taint set.  The trace starts at the abducted
+        log-weight as its one term (replay adds none, and fsum([w]) == w)."""
+        self.abducted = abducted
+        self._tainted = set()
+        trace = ExecutionContext._run(self, program, key)
+        trace.terms.insert(0, abducted.log_weight)
+        return trace
+
+    def _choose(self, spec, name, parents, proposal) -> Choice:
+        """Force a do, carry a choice over, or rerun one downstream of a cf do."""
+        addr = self._auto_address() if name is None else name
+        iv = self.plan.interventions.get(addr)
+        if iv is not None:
+            return self._forced(addr, spec, parents, proposal, iv)
+        tainted = self._tainted
+        prev = self.abducted.entries.get(addr)
+        if prev is not None and (not tainted or tainted.isdisjoint(parents)):
+            # Not downstream of a cf intervention: the abducted world carries
+            # over, as the abducted entry itself where it declared these parents.
+            if parents == prev.parents:
+                entries = self.trace.entries
+                if addr in entries:
+                    raise AddressCollisionError(
+                        f"address collision: {addr!r} already recorded")
+                entries[addr] = prev
+                return prev
+            return self._record(addr, prev.value, 0.0, 0.0, prev.role, parents, prev.noise)
+        tainted.add(addr)
         if prev is None:
             # Control flow opened by an intervention: no abducted value
             # exists, so the choice falls back to its prior.
@@ -454,165 +565,62 @@ class ExecutionContext:
                     f"stale trace: address {addr!r} missing from the abducted "
                     "trace with no intervention to explain it"
                 )
-            return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
-        if getattr(spec, "kind", None) == OBSERVABLE:
+        elif getattr(spec, "kind", None) == OBSERVABLE:
             noise = prev.noise
             return self._record(addr, spec.output(noise), 0.0, 0.0, LATENT, parents, noise)
         # A point mass is recomputed.  An implicit-noise procedure has no shared
         # noise to carry into the new world; it is redrawn from its prior.
-        return self._forward(addr, spec, parents, suffix=REPLAY_STREAM_SUFFIX)
+        return self._forward(addr, spec, parents, None, REPLAY_STREAM_SUFFIX)
 
-    # -- statements --------------------------------------------------------
+    def _forced(self, addr, spec, parents, proposal, iv: Intervention) -> Choice:
+        """The intervened entry of addr; a cf do also taints addr."""
+        if iv.kind == CF:
+            self._tainted.add(addr)
+        return self._record(addr, iv.value, 0.0, 0.0, INTERVENED, parents)
 
     def observe(self, choice: Choice, value) -> None:
-        """Condition the procedure behind choice on an observed value."""
-        addr = choice.address
-        plan = self.plan
-        if self.phase == DISCOVERY:
-            fam = plan.families.get(addr)
-            if getattr(fam, "kind", None) not in (OBSERVABLE, POINT_MASS):
-                raise UnobservableProcedureError(
-                    f"unobservable procedure: cannot observe "
-                    f"{getattr(fam, '__name__', fam)} at {addr!r}; "
-                    "only observable and Delta procedures absorb evidence"
-                )
-            iv = plan.interventions.get(addr)
-            if iv is not None and iv.kind == IV:  # a cf do forces addr only in replay
-                raise EngineError(f"cannot observe intervened address {addr!r}")
-            if addr in plan.observed:
-                raise EngineError(f"duplicate observation at address {addr!r}")
-            plan.observed[addr] = value
-        elif self.phase == ABDUCTION:
-            if addr not in plan.observed:
-                raise StaleTraceError(
-                    f"stale trace: observation at {addr!r} was not present "
-                    "during discovery"
-                )
-        # Replay never absorbs evidence.
+        """Replay never absorbs evidence."""
 
     def do(self, choice: Choice, value, kind: str = CF) -> None:
-        """Force the value at choice's address.
-
-        kind "cf" forces only in the replay phase (three-step
-        counterfactual); kind "iv" forces in every phase, equivalent to
-        editing the model.  Discovery records the do; abduction checks
-        that it did, and replay forces from the plan alone.
-        """
-        kind = kind.lower() if isinstance(kind, str) else kind
-        if kind not in (CF, IV):
-            raise ValueError(f"intervention kind must be 'cf' or 'iv', got {kind!r}")
-        plan = self.plan
-        addr = choice.address
-        if self.phase != DISCOVERY:
-            if self.phase == ABDUCTION and addr not in plan.interventions:
-                raise StaleTraceError(
-                    f"stale trace: intervention at {addr!r} was not present during discovery"
-                )
-            return
-        if addr in plan.interventions:
-            raise EngineError(f"duplicate intervention at address {addr!r}")
-        if kind == IV and addr in plan.observed:
-            raise EngineError(
-                f"cannot iv-intervene observed address {addr!r}; evidence on a "
-                "surgically forced value has no effect"
-            )
-        plan.interventions[addr] = Intervention(value, kind)
+        """Every do is forced from the plan alone; only the kind is checked here."""
+        _do_kind(kind)
 
     def predict(self, value, *, label: str | None = None, counterfactual: bool = True) -> None:
-        """Register value under label in the result.
-
-        counterfactual=True reports the value from the replay execution
-        when one runs; otherwise the abduction-phase value is reported.
-        Every abduction execution must issue the predicts discovery
-        recorded, in order (_run checks that none is missing); a replay
-        that skips one keeps the abduction value as its fallback.
-        """
-        plan = self.plan
-        if self.phase == DISCOVERY:
-            if label is None:
-                label = f"predict:{len(plan.predicts)}"
-            if any(label == lab for lab, _ in plan.predicts):
-                raise EngineError(f"duplicate predict label {label!r}")
-            plan.predicts.append((label, counterfactual))
-            return
-        i = self._pred_i
-        self._pred_i = i + 1
-        if i >= len(plan.predicts):
-            raise StaleTraceError("predict statement not present during discovery")
-        planned_label, planned_cf = plan.predicts[i]
-        if label is not None and label != planned_label:
-            raise StaleTraceError(
-                f"predict label changed between executions: {label!r} vs "
-                f"{planned_label!r}"
-            )
-        if self.phase == ABDUCTION:
-            # Counterfactual labels recorded here are fallbacks; replay
-            # overwrites them when it runs.
+        """Report value for a counterfactual label; abduction's value stands for a factual one."""
+        planned_label, planned_cf = self._planned(label)
+        if planned_cf:
             self.trace.predictions.append((planned_label, value))
-        elif planned_cf:
-            self.trace.predictions.append((planned_label, value))
-
-    # -- lazy evaluation gates ---------------------------------------------
-
-    def value_if_needed(self, name: Address, thunk, *args) -> Choice:
-        """Memoized access to the procedure at a known address.
-
-        The memo is the trace itself: an address already recorded in this
-        execution returns its entry without calling thunk(*args).
-
-        For an address the current phase forces (in _forces) the forced
-        value is recorded, with the parents discovery saw declared there,
-        and the thunk never runs, so none of its ancestors are evaluated on
-        its account.
-        """
-        got = self.trace.entries.get(name)
-        if got is not None:
-            return got
-        if name in self._forces:
-            plan = self.plan
-            return self._forced(name, plan.parents.get(name, ()), plan.interventions[name])
-        choice = thunk(*args)
-        if not isinstance(choice, Choice) or choice.address != name:
-            raise EngineError(
-                f"value_if_needed thunk for {name!r} produced "
-                f"{getattr(choice, 'address', choice)!r}"
-            )
-        return choice
 
     def observing(self) -> bool:
-        """True in phases that absorb evidence (discovery, abduction)."""
-        return self.phase != REPLAY
-
-    def intervening(self) -> bool:
-        """True only while interventions are being recorded (discovery)."""
-        return self.phase == DISCOVERY
+        return False
 
 
 def _abduction_action(plan: QueryPlan, slots: dict[str, int], addr: Address,
                       fam: type) -> tuple:
     """What abduction does with a fam choice at addr: (fam, act, arg).
 
-    The one rule for abduction.  _run_chunk caches its answer for every
+    The one rule for abduction.  Its answer depends only on the plan, the
+    block's layout and the family, so _run_chunk caches it for every
     address discovery saw, with the family discovery saw there;
-    _block_layout and ExecutionContext._abduct, where that table has none,
-    ask it with no slots.  act(ctx, addr, spec, parents, proposal, arg)
-    makes the entry: a do that forces addr records the do's value;
-    evidence at addr is absorbed; a choice whose family declares raws > 0
-    and whose stream has a slot in the block's inputs is drawn from them
-    at slot arg; anything else is drawn forward from a stream.
+    _block_layout and Abduction._choose, where that table has none, ask
+    it with no slots.  act(ctx, addr, spec, parents, proposal, arg) makes
+    the entry: a do that forces addr records the do's value; evidence at
+    addr is absorbed; a choice whose family declares raws > 0 and whose
+    stream has a slot in the block's inputs is drawn from them at slot
+    arg; anything else is drawn forward from a stream.
     """
     iv = plan.interventions.get(addr)
     if iv is not None and iv.kind == IV:  # abduction ignores a cf do
-        return fam, ExecutionContext._intervened, iv.value
+        return fam, Abduction._forced, iv
     if addr in plan.observed:
-        return fam, ExecutionContext._absorb, plan.observed[addr]
+        return fam, Abduction._absorb, plan.observed[addr]
     kind = getattr(fam, "kind", None)  # None: _forward names a class that is no family
     if kind is not None and fam.raws:
         plain = kind == PLAIN
         i = slots.get(addr if plain else addr + NOISE_SUFFIX)
         if i is not None:
-            return fam, ExecutionContext._draw if plain else ExecutionContext._draw_noise, i
-    return fam, ExecutionContext._forward, ""
+            return fam, Abduction._draw if plain else Abduction._draw_noise, i
+    return fam, Abduction._forward, ""
 
 
 # -- plan construction -----------------------------------------------------
@@ -621,7 +629,7 @@ def _abduction_action(plan: QueryPlan, slots: dict[str, int], addr: Address,
 def discover(program, *, seed: int = 0, strict_endogeneity: bool = False) -> QueryPlan:
     """Run the discovery pass and return the finalized query plan."""
     plan = QueryPlan()
-    ExecutionContext(DISCOVERY, plan)._run(program, sample_key(seed, -1))
+    Discovery(plan)._run(program, sample_key(seed, -1))
     if strict_endogeneity:
         _check_endogeneity(plan)
     return plan
@@ -659,7 +667,7 @@ def _check_endogeneity(plan: QueryPlan) -> None:
 
 def abduction_sample(program, plan: QueryPlan, seed: int, sample_index: int) -> Trace:
     """One importance sample of the posterior described by the plan."""
-    return ExecutionContext(ABDUCTION, plan)._run(program, sample_key(seed, sample_index))
+    return Abduction(plan, {})._run(program, sample_key(seed, sample_index), None)
 
 
 def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
@@ -670,8 +678,7 @@ def counterfactual_replay(trace: Trace, plan: QueryPlan, program, seed: int,
     draws either carry over, are recomputed deterministically, or are
     prior draws whose contribution is exactly zero.
     """
-    key = sample_key(seed, sample_index)
-    return ExecutionContext(REPLAY, plan)._run(program, key, None, trace, trace.log_weight)
+    return Replay(plan)._run(program, sample_key(seed, sample_index), trace)
 
 
 @dataclass
@@ -730,9 +737,9 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     columns = list(range(len(uniform))), list(range(len(uniform), len(names)))
     actions = {addr: _abduction_action(plan, slots, addr, fam)
                for addr, fam in plan.families.items()}
-    abduct = ExecutionContext(ABDUCTION, plan, actions)._run
+    abduct = Abduction(plan, actions)._run
     # replay reads no block inputs: its redraws use @cf streams
-    replay = ExecutionContext(REPLAY, plan)._run if plan.needs_replay else None
+    replay = Replay(plan)._run if plan.needs_replay else None
     clock = time.perf_counter
     # Two clock reads per replayed sample, one per other sample: keying
     # and the loop's own work count toward abduction.
@@ -751,7 +758,7 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
             merged = dict(abd.predictions)
             rep = None
             if replay is not None and not rejected:
-                rep = replay(program, key, None, abd, lw)
+                rep = replay(program, key, abd)
                 t0, t1 = clock(), t0
                 rep_s += t0 - t1
                 n_rep += 1

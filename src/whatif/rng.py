@@ -20,16 +20,16 @@ _mix64, so the table holds the same bits as keyed_stream would draw.
 Only block_inputs reads those raws, to convert them for the choices
 whose whole draw fits in them; every stream starts at keyed_stream.
 
-Raws become doubles in two places, with the same bits.  A stream, and
-so dists' sample and sample_noise, converts them one at a time through
-to_uniform, to_uniform_pos and normal_parts.  A key
-block converts every draw's raws once, when it is keyed: block_inputs
-is the column twin of to_uniform and normal_parts.  numpy does its
-shifts and scalings, which are exact because raw >> 11 fits a double
-and the scalings are powers of two, and np.sqrt, which IEEE 754 rounds
-correctly; the transcendentals go through math.log and math.cos over
-the column's .tolist(), since np.log (and np.cos on some platforms)
-rounds some results differently.
+Raws become doubles in two places, with the same bits.  A stream
+converts them one at a time through to_uniform, to_uniform_pos and
+normal_parts; RandomStream.inputs gives a draw with raws 1 or 2 the
+inputs its family reads.  A key block converts every draw's raws once,
+when it is keyed: block_inputs is the column twin of RandomStream.inputs.
+numpy does its shifts and scalings, which are exact because raw >> 11
+fits a double and the scalings are powers of two, and np.sqrt, which
+IEEE 754 rounds correctly; the transcendentals go through math.log and
+math.cos over the column's .tolist(), since np.log (and np.cos on some
+platforms) rounds some results differently.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ class RandomStream:
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p
+
+    def inputs(self, raws: int) -> tuple[float, ...]:
+        """The draw inputs of the next raws (1 or 2) raw draws, as block_inputs converts them."""
+        raw = self.next_raw()
+        return (to_uniform(raw),) if raws == 1 else normal_parts(raw, self.next_raw())
 
 
 def keyed_stream(key: int, address: str) -> RandomStream:

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -20,7 +21,9 @@ from whatif.dists import (
     sample_and_score,
     score_inputs,
 )
-from whatif.rng import RandomStream, normal_parts, rng_for_address, to_uniform
+from whatif import engine
+from whatif.engine import QueryPlan, abduction_sample
+from whatif.rng import RandomStream, block_inputs, normal_parts, rng_for_address
 
 
 def stream(tag, idx=0):
@@ -112,9 +115,6 @@ class TestSampling:
         assert abs(sum(xs) / len(xs) - 0.5) < 0.005
         assert all(0.0 < x < 1.0 for x in xs)
 
-    def test_delta_sampling_is_deterministic(self):
-        assert Delta(7).sample(stream("d")) == 7
-
 
 def _bits(x):
     return x.hex() if isinstance(x, float) else repr(x)
@@ -148,13 +148,23 @@ _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @example(base=1, raw1=2**64 - 1, raw2=0, p=1.0, q=0.0, loc=-5.0, scale=1e-3)
 def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
     # a key block's choice is drawn from the inputs its family's raws
-    # declare, converted from its stream's first raws; it must give what
-    # a stream whose first draws are those raws gives
+    # declare, converted from its stream's first raws by block_inputs; it
+    # must give what a stream whose first draws are those raws gives,
+    # through sample_and_score or the engine's keyed draw
     def started():
         return _FirstRaws(base, raw1, raw2)
 
     def inputs(spec):
-        return {1: (to_uniform(raw1),), 2: normal_parts(raw1, raw2)}[spec.raws]
+        table = np.array([[[base, raw1, raw2]]], dtype=np.uint64)
+        return block_inputs(table, *{1: ([0], []), 2: ([], [0])}[spec.raws])[0]
+
+    def keyed_noise(spec):
+        # an unobserved observable of a single execution draws its noise
+        # from the keyed stream of addr::noise
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "keyed_stream", lambda key, name: started())
+            trace = abduction_sample(lambda ctx: ctx.sample(spec, name="o"), QueryPlan(), 0, 0)
+        return trace["o"].noise
 
     plain = [
         (Normal(loc, scale), Normal(-loc, 2.0 * scale)),
@@ -162,14 +172,14 @@ def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
         (Uniform(loc, loc + scale), Uniform(loc - scale, loc + 0.5 * scale)),
     ]
     for spec, proposal in plain:
-        assert _bits(spec.draw_from(inputs(spec), 0)) == _bits(spec.sample(started()))
+        assert _bits(spec.draw_from(inputs(spec), 0)) == _bits(sample_and_score(spec, started())[0])
         for prop in (None, proposal):
             drawn = score_inputs(spec, inputs(spec), 0, prop)
             sampled = sample_and_score(spec, started(), prop)
             assert list(map(_bits, drawn)) == list(map(_bits, sampled))
     for spec in (ObservableNormal(loc, scale), ObservableBernoulli(True, p)):
         noise = spec.draw_noise_from(inputs(spec), 0)
-        assert _bits(noise) == _bits(spec.sample_noise(started()))
+        assert _bits(noise) == _bits(keyed_noise(spec))
 
 
 @given(st.floats(0.0, 1.0))
@@ -255,7 +265,7 @@ class TestObservableBernoulli:
     def test_flip_rate(self):
         spec = ObservableBernoulli(False, 0.2)
         s = stream("flip")
-        hits = sum(spec.output(spec.sample_noise(s)) for _ in range(50_000))
+        hits = sum(spec.output(spec.draw_noise_from(s.inputs(spec.raws), 0)) for _ in range(50_000))
         assert abs(hits / 50_000 - 0.2) < 0.01
 
 

@@ -12,7 +12,6 @@ from whatif import engine
 from whatif.dists import OBSERVABLE, PLAIN, Bernoulli, Normal, Uniform
 from whatif.engine import (
     BLOCK,
-    ExecutionContext,
     abduction_sample,
     counterfactual_replay,
     descendant_closure,
@@ -1000,9 +999,6 @@ class UniformNoise:
     def draw_noise_from(self, inputs, i):
         return self.width * (2.0 * inputs[i] - 1.0)
 
-    def sample_noise(self, stream):
-        return self.draw_noise_from((stream.uniform(),), 0)
-
     def output(self, noise):
         return self.mean + noise
 
@@ -1223,8 +1219,25 @@ class TestKeyBlocks:
     def test_abduction_actions_resolved_once_per_chunk(self):
         # the chunk's action table answers every address discovery saw;
         # only an unseen address or another family there asks the rule
+        # while the program runs (building the table asks it outside)
         def general_path(program):
-            return _calls_after_discovery(program, ExecutionContext, "_abduct")
+            running, calls, rule = [False], [0], engine._abduction_action
+
+            def counted(*args):
+                calls[0] += running[0]
+                return rule(*args)
+
+            def watched(ctx):
+                running[0] = True
+                try:
+                    program(ctx)
+                finally:
+                    running[0] = False
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_abduction_action", counted)
+                wi.run_inference(watched, 2 * BLOCK + 3, seed=21)
+            return calls[0]
 
         scm, query = generate_case(0, 0, 12)
         assert general_path(gaussian_program) == 0
