@@ -27,18 +27,17 @@ order and of how samples are split across workers.  Worker processes
 are forked where the platform allows, so a closure works as a program.
 
 run_inference keys its samples BLOCK at a time: one rng.key_block pass
-computes each sample's key and the first raw draws of every stream that
-abduction draws a family with raws 1 or 2 from, at an address discovery
-saw with no evidence or iv do there.  rng.block_inputs converts those
-raws to doubles once per block, numpy doing the exact integer and
-power-of-two steps and math.* the logs and cosines, since np.log rounds
-some differently.  Such a choice reads its inputs from its sample's row
-by index, with no stream built, and an observable of such a family
-absorbs its evidence without one.  Every stream is started by
-keyed_stream, which gives the same bits: a family with raws 0 (Beta,
-ObservableNoisyOr), a choice whose family differs from the one discovery
-saw at its address, a branch discovery never took, replay's @cf redraws,
-and the one execution that discover, abduction_sample and
+computes each sample's key and the first raw draws of the streams that
+_abduction_table picks once per chunk, where abduction draws a family
+with raws 1 or 2 at an address discovery saw with no evidence or iv do
+there.  rng.block_inputs converts those raws to doubles once per block,
+with the scalar path's bits (see rng).  Such a choice reads its inputs
+from its sample's row by index, with no stream built, and an observable
+of such a family absorbs its evidence without one.  Every stream is
+started by keyed_stream, which gives the same bits: a family with raws 0
+(Beta, ObservableNoisyOr), a choice whose family differs from the one
+discovery saw at its address, a branch discovery never took, replay's
+@cf redraws, and the one execution that discover, abduction_sample and
 counterfactual_replay each run.
 
 A chunk builds one Abduction and one Replay context and rearms them for
@@ -55,7 +54,7 @@ import multiprocessing
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +100,7 @@ REPLAY_STREAM_SUFFIX = "@cf"
 
 # Samples keyed together by one rng.key_block pass in _run_chunk.
 BLOCK = 128
-_NO_SLOTS: dict[str, int] = {}
+_ABSENT = object()  # stands for a statement discovery never recorded
 _NEG_INF = float("-inf")
 
 
@@ -350,6 +349,13 @@ def _do_kind(kind) -> str:
     return kind
 
 
+def _stale(what: str, addr: Address, now, was) -> StaleTraceError:
+    """StaleTraceError for a later phase's statement now where discovery recorded was."""
+    if was is _ABSENT:
+        return StaleTraceError(f"stale trace: {what} at {addr!r} was not present during discovery")
+    return StaleTraceError(f"stale trace: {what} at {addr!r} is {now!r}, not discovery's {was!r}")
+
+
 class Discovery(ExecutionContext):
     """The one execution that records the query structure into the plan:
     each choice's family and declared parents, drawn forward, the observed
@@ -387,7 +393,8 @@ class Discovery(ExecutionContext):
 
         kind "cf" forces only in the replay phase (three-step
         counterfactual); kind "iv" forces in every phase, equivalent to
-        editing the model.  Discovery records the do.
+        editing the model.  Discovery records the do; a later phase's do
+        there with another value or kind raises StaleTraceError.
         """
         kind = _do_kind(kind)
         plan = self.plan
@@ -426,7 +433,7 @@ class Abduction(ExecutionContext):
 
     Evidence is absorbed through the family's absorb(); an iv do is
     forced and a cf do ignored, as _abduction_action, the one rule, says;
-    a chunk keeps its answers for the addresses discovery saw in a table.
+    _abduction_table keeps its answers for the addresses discovery saw.
     """
 
     __slots__ = ("_actions", "_inputs")
@@ -434,7 +441,7 @@ class Abduction(ExecutionContext):
 
     def __init__(self, plan: QueryPlan, actions: dict[Address, tuple]):
         super().__init__(plan)
-        # addr -> _abduction_action's answer for the family discovery saw there
+        # addr -> _abduction_table's answer for the family discovery saw there
         self._actions = actions
 
     def _run(self, program, key: int, inputs: list | None) -> Trace:
@@ -456,7 +463,7 @@ class Abduction(ExecutionContext):
         if act is None or act[0] is not type(spec):
             # An unseen address, another family, or a single execution: none
             # reads the block's inputs, converted for discovery's families.
-            act = _abduction_action(self.plan, _NO_SLOTS, addr, type(spec))
+            act = _abduction_action(self.plan, addr, type(spec))
         return act[1](self, addr, spec, parents, proposal, act[2])
 
     def _draw(self, addr, spec, parents, proposal, i) -> Choice:
@@ -493,20 +500,17 @@ class Abduction(ExecutionContext):
         return self._record(addr, value, loglik, log_q, OBSERVED, parents, noise, loglik)
 
     def observe(self, choice: Choice, value) -> None:
-        """The evidence was absorbed with the choice; check discovery recorded it."""
-        if choice.address not in self.plan.observed:
-            raise StaleTraceError(
-                f"stale trace: observation at {choice.address!r} was not present "
-                "during discovery"
-            )
+        """The evidence was absorbed with the choice; check discovery recorded this value."""
+        was = self.plan.observed.get(choice.address, _ABSENT)
+        if value is not was and value != was:  # nothing equals _ABSENT
+            raise _stale("observation", choice.address, value, was)
 
     def do(self, choice: Choice, value, kind: str = CF) -> None:
-        """An iv do was forced with the choice; check discovery recorded the do."""
-        _do_kind(kind)
-        if choice.address not in self.plan.interventions:
-            raise StaleTraceError(
-                f"stale trace: intervention at {choice.address!r} was not present during discovery"
-            )
+        """An iv do was forced with the choice; check discovery recorded this do."""
+        kind = _do_kind(kind)
+        iv = self.plan.interventions.get(choice.address, _ABSENT)
+        if iv is _ABSENT or kind != iv.kind or value is not iv.value and value != iv.value:
+            raise _stale("intervention", choice.address, Intervention(value, kind), iv)
 
     def predict(self, value, *, label: str | None = None, counterfactual: bool = True) -> None:
         """Report value; for a counterfactual label, a fallback replay overwrites when it runs."""
@@ -582,8 +586,11 @@ class Replay(ExecutionContext):
         """Replay never absorbs evidence."""
 
     def do(self, choice: Choice, value, kind: str = CF) -> None:
-        """Every do is forced from the plan alone; only the kind is checked here."""
-        _do_kind(kind)
+        """A do must be discovery's; one it never met (a cf do opened its branch) is ignored."""
+        kind = _do_kind(kind)
+        iv = self.plan.interventions.get(choice.address)
+        if iv is not None and (kind != iv.kind or value is not iv.value and value != iv.value):
+            raise _stale("intervention", choice.address, Intervention(value, kind), iv)
 
     def predict(self, value, *, label: str | None = None, counterfactual: bool = True) -> None:
         """Report value for a counterfactual label; abduction's value stands for a factual one."""
@@ -595,31 +602,21 @@ class Replay(ExecutionContext):
         return False
 
 
-def _abduction_action(plan: QueryPlan, slots: dict[str, int], addr: Address,
-                      fam: type) -> tuple:
+def _abduction_action(plan: QueryPlan, addr: Address, fam: type) -> tuple:
     """What abduction does with a fam choice at addr: (fam, act, arg).
 
-    The one rule for abduction.  Its answer depends only on the plan, the
-    block's layout and the family, so _run_chunk caches it for every
-    address discovery saw, with the family discovery saw there;
-    _block_layout and Abduction._choose, where that table has none, ask
-    it with no slots.  act(ctx, addr, spec, parents, proposal, arg) makes
-    the entry: a do that forces addr records the do's value; evidence at
-    addr is absorbed; a choice whose family declares raws > 0 and whose
-    stream has a slot in the block's inputs is drawn from them at slot
-    arg; anything else is drawn forward from a stream.
+    The one rule for abduction.  It reads only the plan and the family, so
+    _abduction_table keeps its answer for each address and family discovery
+    saw, and Abduction._choose asks it where that table has none.
+    act(ctx, addr, spec, parents, proposal, arg) makes the entry: a forcing
+    do records its value, evidence is absorbed, and anything else is drawn
+    forward, or from the block's inputs where the table says so.
     """
     iv = plan.interventions.get(addr)
     if iv is not None and iv.kind == IV:  # abduction ignores a cf do
         return fam, Abduction._forced, iv
     if addr in plan.observed:
         return fam, Abduction._absorb, plan.observed[addr]
-    kind = getattr(fam, "kind", None)  # None: _forward names a class that is no family
-    if kind is not None and fam.raws:
-        plain = kind == PLAIN
-        i = slots.get(addr if plain else addr + NOISE_SUFFIX)
-        if i is not None:
-            return fam, Abduction._draw if plain else Abduction._draw_noise, i
     return fam, Abduction._forward, ""
 
 
@@ -697,26 +694,26 @@ class InferenceResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _block_layout(plan: QueryPlan) -> tuple[list[str], list[str], dict[str, int]]:
-    """The streams abduction draws from the key block, and where their inputs sit.
+def _abduction_table(plan: QueryPlan) -> tuple[list[str], int, dict[Address, tuple]]:
+    """Abduction's action table and the key block's layout, in one pass.
 
-    Returns (uniform, normal, slots): the names of the streams that a
-    choice of a family with raws 1, or raws 2, draws from at an address
-    discovery saw, where _abduction_action with no slots would draw it
-    forward.  rng.key_block keys uniform + normal in that order, and
-    slots[name] is where a draw's inputs start in a row of
-    rng.block_inputs' result.
+    Returns (names, k, actions): actions[addr] is _abduction_action's answer
+    for discovery's family at addr, but a forward draw with raws 1 or 2 is
+    _draw (_draw_noise for an observable) at its slot in a block_inputs row.
+    rng.key_block keys names, the k streams with raws 1 first, then those
+    with raws 2, each in discovery order.
     """
-    uniform: list[str] = []
-    normal: list[str] = []
-    forward = ExecutionContext._forward
-    for addr, fam in plan.families.items():
-        if fam.raws and _abduction_action(plan, _NO_SLOTS, addr, fam)[1] is forward:
-            name = addr if fam.kind == PLAIN else addr + NOISE_SUFFIX
-            (normal if fam.raws == 2 else uniform).append(name)
-    slots = {name: k for k, name in enumerate(uniform)}
-    slots.update((name, len(uniform) + 2 * k) for k, name in enumerate(normal))
-    return uniform, normal, slots
+    actions = {addr: _abduction_action(plan, addr, fam) for addr, fam in plan.families.items()}
+    names: list[str] = []
+    slot = 0  # each draw's inputs take fam.raws slots of a row
+    # sorted is stable: raws 1 before raws 2, each in discovery order
+    for addr, fam in sorted(plan.families.items(), key=lambda item: item[1].raws):
+        if fam.raws and actions[addr][1] is Abduction._forward:
+            plain = fam.kind == PLAIN
+            names.append(addr if plain else addr + NOISE_SUFFIX)
+            actions[addr] = fam, Abduction._draw if plain else Abduction._draw_noise, slot
+            slot += fam.raws
+    return names, 2 * len(names) - slot, actions  # slot == k + 2 * (len(names) - k)
 
 
 def _run_chunk(program, plan, seed, keep_traces, lo, hi):
@@ -731,12 +728,7 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     traces = [] if keep_traces else None
     n_rejected = n_abd = n_rep = 0
     abd_s = rep_s = 0.0
-    uniform, normal, slots = _block_layout(plan)
-    names = uniform + normal
-    # block_inputs' columns of names: the uniform draws, then the normal ones
-    columns = list(range(len(uniform))), list(range(len(uniform), len(names)))
-    actions = {addr: _abduction_action(plan, slots, addr, fam)
-               for addr, fam in plan.families.items()}
+    names, k, actions = _abduction_table(plan)
     abduct = Abduction(plan, actions)._run
     # replay reads no block inputs: its redraws use @cf streams
     replay = Replay(plan)._run if plan.needs_replay else None
@@ -745,8 +737,8 @@ def _run_chunk(program, plan, seed, keep_traces, lo, hi):
     # and the loop's own work count toward abduction.
     t0 = clock()
     for start in range(lo - lo % BLOCK, hi, BLOCK):
-        keys, table = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
-        for key, inputs in zip(keys, block_inputs(table, *columns)):
+        keys, raws = key_block(seed, max(start, lo), min(start + BLOCK, hi), names)
+        for key, inputs in zip(keys, block_inputs(raws, k)):
             abd = abduct(program, key, inputs)
             t0, t1 = clock(), t0
             abd_s += t0 - t1
@@ -905,7 +897,7 @@ def verify_declared_dependencies(program, *, seed: int = 0) -> list[str]:
     """Cross-check depends_on declarations by perturb-and-compare.
 
     Intended for small discrete models in tests: each boolean latent is
-    flipped by an iv do added to the discovered plan and abduction rerun
+    flipped by an iv do put in abduction's action table and abduction rerun
     with identical streams; any other address whose value or noise moves
     must be a declared (transitive) descendant of the flipped one.
     Returns human-readable violation descriptions, empty when all
@@ -917,9 +909,9 @@ def verify_declared_dependencies(program, *, seed: int = 0) -> list[str]:
     for addr, entry in base.entries.items():
         if entry.role != LATENT or not isinstance(entry.value, bool):
             continue
-        flip = Intervention(not entry.value, IV)
-        forced = replace(plan, interventions={**plan.interventions, addr: flip})
-        flipped = abduction_sample(program, forced, seed, 0)
+        # not a plan edit: every do the program issues must match the plan's
+        flip = (plan.families[addr], Abduction._forced, Intervention(not entry.value, IV))
+        flipped = Abduction(plan, {addr: flip})._run(program, sample_key(seed, 0), None)
         allowed = descendant_closure(plan.parents, [addr])
         for other, fent in flipped.entries.items():
             if other == addr:

@@ -13,12 +13,12 @@ through blake2b so the mapping is stable across processes and platforms
 (never the salted builtin hash()).
 
 The engine keys a block of samples at once: key_block computes, in one
-numpy uint64 pass, every sample's key and, for each stream name it is
-given, the stream's base and first PRE_DRAWN raw draws.  numpy's uint64
-arithmetic wraps modulo 2^64 exactly like the masked Python ints of
-_mix64, so the table holds the same bits as keyed_stream would draw.
-Only block_inputs reads those raws, to convert them for the choices
-whose whole draw fits in them; every stream starts at keyed_stream.
+numpy uint64 pass, every sample's key and the first PRE_DRAWN raw draws
+of each stream it names.  numpy's uint64 arithmetic wraps modulo 2^64
+exactly like the masked Python ints of _mix64, so those raws are the
+bits keyed_stream would draw.  Only block_inputs reads them, to convert
+them for the choices whose whole draw fits in them; every stream starts
+at keyed_stream.
 
 Raws become doubles in two places, with the same bits.  A stream
 converts them one at a time through to_uniform, to_uniform_pos and
@@ -154,36 +154,33 @@ def rng_for_address(seed: int, sample_index: int, address: str) -> RandomStream:
 def key_block(seed: int, lo: int, hi: int, names: list[str]) -> tuple[list[int], np.ndarray]:
     """Key samples lo..hi-1 and draw ahead on the named streams, in one numpy pass.
 
-    Returns (keys, table): keys[r] == sample_key(seed, lo + r) as a Python
-    int, and table[r, j] (uint64) holds the base of stream names[j] in
-    that execution and then its first PRE_DRAWN raw draws, the ones
-    keyed_stream(keys[r], names[j]).next_raw() returns first.
+    Returns (keys, raws): keys[r] == sample_key(seed, lo + r) as a Python
+    int, and raws[r, j] (uint64) holds the first PRE_DRAWN raw draws of
+    keyed_stream(keys[r], names[j]).
     """
     index = np.uint64(lo & _MASK) + np.arange(hi - lo, dtype=np.uint64)
     keys = _mix64_array(np.uint64(_mix64(seed & _MASK)) ^ index)
     addr = np.array([_address_key(a) for a in names], dtype=np.uint64)
-    steps = np.array([(k * _GAMMA) & _MASK for k in range(PRE_DRAWN + 1)], dtype=np.uint64)
-    # table[r, j, k] = base + k * GAMMA, then mixed into raw k for k >= 1
-    table = _mix64_array(keys[:, None] ^ addr)[:, :, None] + steps
-    table[:, :, 1:] = _mix64_array(table[:, :, 1:])
-    return keys.tolist(), table
+    steps = np.array([(k * _GAMMA) & _MASK for k in range(1, PRE_DRAWN + 1)], dtype=np.uint64)
+    # raws[r, j, k] mixes the stream's base + (k + 1) * GAMMA
+    raws = _mix64_array(_mix64_array(keys[:, None] ^ addr)[:, :, None] + steps)
+    return keys.tolist(), raws
 
 
-def block_inputs(table: np.ndarray, uniform: list[int], normal: list[int]) -> list[list[float]]:
-    """The draw inputs of a key_block table, converted in one pass per kind.
+def block_inputs(raws: np.ndarray, k: int) -> list[list[float]]:
+    """The draw inputs of key_block's raws, converted in one pass per kind.
 
-    Row r lists to_uniform(raw1) of each column in uniform, then the
-    normal_parts(raw1, raw2) of each column in normal, two entries each,
-    where raw1, raw2 are table[r, j, 1:].
+    Row r lists to_uniform(raw1) of each of the first k streams, then the
+    normal_parts(raw1, raw2) of each other stream, two entries each, where
+    raw1, raw2 are raws[r, j].
     """
-    shifted = table[:, uniform + normal, 1:] >> np.uint64(11)
-    k = len(uniform)
-    out = np.empty((len(table), k + 2 * len(normal)))
+    shifted = raws >> np.uint64(11)
+    out = np.empty((len(raws), 2 * raws.shape[1] - k))
     out[:, :k] = shifted[:, :k, 0] * _INV_2_53
-    if normal:
+    if raws.shape[1] > k:
         pos = ((shifted[:, k:, 0] + np.uint64(1)) * _INV_2_53).ravel().tolist()
         turn = (_TWO_PI * (shifted[:, k:, 1] * _INV_2_53)).ravel().tolist()
-        logs = np.array(list(map(math.log, pos))).reshape(len(table), -1)
+        logs = np.array(list(map(math.log, pos))).reshape(len(raws), -1)
         out[:, k::2] = np.sqrt(-2.0 * logs)
-        out[:, k + 1::2] = np.array(list(map(math.cos, turn))).reshape(len(table), -1)
+        out[:, k + 1::2] = np.array(list(map(math.cos, turn))).reshape(len(raws), -1)
     return out.tolist()

@@ -155,8 +155,8 @@ def test_draw_from_raws_matches_the_stream(base, raw1, raw2, p, q, loc, scale):
         return _FirstRaws(base, raw1, raw2)
 
     def inputs(spec):
-        table = np.array([[[base, raw1, raw2]]], dtype=np.uint64)
-        return block_inputs(table, *{1: ([0], []), 2: ([], [0])}[spec.raws])[0]
+        raws = np.array([[[raw1, raw2]]], dtype=np.uint64)
+        return block_inputs(raws, 1 if spec.raws == 1 else 0)[0]
 
     def keyed_noise(spec):
         # an unobserved observable of a single execution draws its noise

@@ -353,6 +353,66 @@ class TestStatements:
         with pytest.raises(StaleTraceError, match="intervention at 'x'"):
             wi.run_inference(program, 10, seed=0)
 
+    def test_do_value_drawn_per_execution_is_stale(self):
+        # was silently forced to discovery's draw of a: the estimate read
+        # 0.2093 (discovery drew a = 0.2182) where each execution's own a
+        # gives about 0
+        def program(ctx):
+            a = ctx.normal(0, 1, name="a")
+            x = ctx.normal(0, 1, name="x")
+            y = ctx.observable_normal(x.value, 1, name="y", depends_on=[x])
+            ctx.do(x, a.value, kind=wi.CF)
+            ctx.predict(y.value)
+
+        match = r"intervention at 'x' is Intervention\(value=-?\d"
+        with pytest.raises(StaleTraceError, match=match):
+            wi.run_inference(program, 2000, seed=0)
+
+    def test_observation_value_drawn_per_execution_is_stale(self):
+        # was silently conditioned on discovery's draw of a
+        def program(ctx):
+            a = ctx.normal(0, 1, name="a")
+            x = ctx.normal(0, 1, name="x")
+            y = ctx.observable_normal(x.value, 1, name="y", depends_on=[x])
+            ctx.observe(y, a.value)
+            ctx.predict(x.value)
+
+        with pytest.raises(StaleTraceError, match="observation at 'y' is .*, not discovery's"):
+            wi.run_inference(program, 2000, seed=0)
+
+    @pytest.mark.parametrize("phase", ["abduction", "replay"])
+    def test_do_kind_or_value_unlike_discovery_is_stale(self, phase):
+        # discovery and abduction both observe, so ctx.observing() tells
+        # replay apart; ctx.intervening() tells discovery apart
+        def changes(ctx):
+            return not ctx.observing() if phase == "replay" else not ctx.intervening()
+
+        def kind_program(ctx):
+            two_node_program(ctx, kind=wi.IV if changes(ctx) else wi.CF)
+
+        def value_program(ctx):
+            two_node_program(ctx, x_value=not changes(ctx))
+
+        plan = discover(two_node_program)
+        cases = ((kind_program, "kind='iv'"), (value_program, r"value=False, kind='cf'\)"))
+        for program, match in cases:
+            with pytest.raises(StaleTraceError, match=f"intervention at 'x' is .*{match}"):
+                trace = abduction_sample(program, plan, 0, 0)
+                counterfactual_replay(trace, plan, program, 0, 0)
+
+    def test_recomputed_equal_statement_values_pass(self):
+        # equal values need not be the same object, and numpy scalars equal
+        # their Python twins
+        def program(ctx):
+            x = ctx.normal(0, 1, name="x")
+            y = ctx.observable_normal(x.value, 1, name="y", depends_on=[x])
+            ctx.observe(y, float(np.float64(0.25) + 0.5) if ctx.intervening() else np.float64(0.75))
+            ctx.do(x, [0.5][0] * 2, kind=wi.CF)
+            ctx.predict(y.value)
+
+        res = wi.run_inference(program, 50, seed=0)
+        assert res.executions == {"discovery": 1, "abduction": 50, "replay": 50}
+
     def test_predicts_must_match_discovery(self):
         def extra(ctx):
             ctx.predict(1.0, label="p")

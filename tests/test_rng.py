@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from whatif.engine import BLOCK
 from whatif.rng import (
     PRE_DRAWN,
-    RandomStream,
     _mix64,
     _mix64_array,
     block_inputs,
@@ -113,41 +112,22 @@ def test_vectorised_mix_matches_scalar(xs):
     assert _mix64_array(np.array(xs, dtype=np.uint64)).tolist() == [_mix64(x) for x in xs]
 
 
-_DRAWS = ("uniform", "normal", "uniform_pos", "bernoulli")
-
-
-def _draw_hexes(stream, ops):
-    out = []
-    for op in ops:
-        if op == "bernoulli":
-            out.append(stream.bernoulli(0.3))
-        else:
-            out.append(getattr(stream, op)().hex())
-    return out
-
-
 @given(
     st.integers(-(2**70), 2**70),
     st.one_of(st.integers(1, 3 * BLOCK), st.integers(-3, 2**63)),
     st.integers(0, 5),
     st.lists(st.text(max_size=12), min_size=1, max_size=3, unique=True),
-    st.lists(st.sampled_from(_DRAWS), min_size=6, max_size=10),
 )
 @settings(max_examples=150)
-def test_key_block_matches_the_scalar_path(seed, lo, n, names, ops):
-    # a stream started at the table's base draws what keyed_stream draws,
-    # past its PRE_DRAWN raws too, and those raws are its first draws
-    assert len(ops) > PRE_DRAWN
-    keys, table = key_block(seed, lo, lo + n, names)
+def test_key_block_matches_the_scalar_path(seed, lo, n, names):
+    # a block's raws are the first PRE_DRAWN draws of keyed_stream
+    keys, raws = key_block(seed, lo, lo + n, names)
+    assert raws.shape == (n, len(names), PRE_DRAWN)
     for r, i in enumerate(range(lo, lo + n)):
-        key, cells = keys[r], table[r].tolist()
-        assert key == sample_key(seed, i)
+        assert keys[r] == sample_key(seed, i)
         for j, name in enumerate(names):
-            base, *raws = cells[j]
             scalar = keyed_stream(sample_key(seed, i), name)
-            assert raws == [scalar.next_raw() for _ in range(PRE_DRAWN)]
-            scalar = keyed_stream(sample_key(seed, i), name)
-            assert _draw_hexes(RandomStream(base), ops) == _draw_hexes(scalar, ops)
+            assert raws[r, j].tolist() == [scalar.next_raw() for _ in range(PRE_DRAWN)]
 
 
 # raw 0 and 2**64 - 1 are the ends of both uniforms, so 2**64 - 1 gives
@@ -160,29 +140,27 @@ def _hexes(rows):
     return [[x.hex() for x in row] for row in rows]
 
 
-def _scalar_inputs(table, uniform, normal):
+def _scalar_inputs(raws, k):
     """block_inputs' rows, converted cell by cell through its scalar twins."""
     rows = []
-    for cells in table.tolist():
-        row = [to_uniform(cells[j][1]) for j in uniform]
-        for j in normal:
-            row.extend(normal_parts(cells[j][1], cells[j][2]))
+    for cells in raws.tolist():
+        row = [to_uniform(raw1) for raw1, _ in cells[:k]]
+        for raw1, raw2 in cells[k:]:
+            row.extend(normal_parts(raw1, raw2))
         rows.append(row)
     return rows
 
 
-@given(st.integers(1, 4), st.lists(st.sampled_from("un-"), min_size=1, max_size=5), st.data())
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
 @settings(max_examples=200)
-def test_block_inputs_match_their_scalar_twins(n, kinds, data):
-    # each column is converted for a uniform draw, a normal draw, or not at all
+def test_block_inputs_match_their_scalar_twins(n, streams, data):
+    # the first k streams are converted for a uniform draw, the rest for a normal one
+    k = data.draw(st.integers(0, streams))
     raw = st.one_of(st.sampled_from(_EDGE_RAWS), st.integers(0, 2**64 - 1))
-    size = n * len(kinds) * 3
-    raws = data.draw(st.lists(raw, min_size=size, max_size=size))
-    table = np.array(raws, dtype=np.uint64).reshape(n, len(kinds), 3)
-    uniform = [j for j, k in enumerate(kinds) if k == "u"]
-    normal = [j for j, k in enumerate(kinds) if k == "n"]
-    got = block_inputs(table, uniform, normal)
-    assert _hexes(got) == _hexes(_scalar_inputs(table, uniform, normal))
+    size = n * streams * PRE_DRAWN
+    cells = data.draw(st.lists(raw, min_size=size, max_size=size))
+    raws = np.array(cells, dtype=np.uint64).reshape(n, streams, PRE_DRAWN)
+    assert _hexes(block_inputs(raws, k)) == _hexes(_scalar_inputs(raws, k))
 
 
 def test_block_normal_parts_keep_every_bit_on_a_fixed_corpus():
@@ -190,9 +168,8 @@ def test_block_normal_parts_keep_every_bit_on_a_fixed_corpus():
     # np.log fails here, as numpy's log rounds some of them differently
     # from math.log (numpy's cos may too, depending on the platform)
     gen = np.random.default_rng(20261019)
-    table = gen.integers(0, 2**64, size=(25_000, 4, 3), dtype=np.uint64)
-    edges = np.array([[0, a, b] for a in _EDGE_RAWS for b in _EDGE_RAWS], dtype=np.uint64)
-    table = np.concatenate([table, edges.reshape(4, 4, 3)])
-    normal = [0, 1, 2, 3]
-    got = block_inputs(table, [], normal)
-    assert _hexes(got) == _hexes(_scalar_inputs(table, [], normal))
+    # each pair is the last two of a cell's three draws, which fixes the corpus
+    raws = gen.integers(0, 2**64, size=(25_000, 4, 3), dtype=np.uint64)[:, :, 1:]
+    edges = np.array([[a, b] for a in _EDGE_RAWS for b in _EDGE_RAWS], dtype=np.uint64)
+    raws = np.concatenate([raws, edges.reshape(4, 4, 2)])
+    assert _hexes(block_inputs(raws, 0)) == _hexes(_scalar_inputs(raws, 0))
